@@ -46,7 +46,7 @@ use smooth_planner::{AccessPathChoice, Database, LogicalPlan};
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::experiments::batch::RUNS;
+use crate::experiments::RUNS;
 use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use smooth_executor::{BoxedOperator, Operator, Predicate, ScanFilter};
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{PageId, Result, Row, RowBatch, Schema, Value};
+use smooth_types::{ColumnBatch, PageId, Result, Row, Schema, Value};
 
 use crate::page_cache::PageIdCache;
 
@@ -49,7 +49,7 @@ pub struct SmoothInnerPath {
     storage: Storage,
     key_col: usize,
     /// Compiled residual, probed on *encoded* tuples during the harvest —
-    /// non-qualifiers are never fully decoded (the PR 2 `ScanFilter`
+    /// non-qualifiers are never fully decoded (the `ScanFilter`
     /// selection pushdown, applied to the morphing INLJ).
     filter: ScanFilter,
     visited: PageIdCache,
@@ -228,9 +228,9 @@ impl Operator for SmoothIndexNestedLoopJoin {
         }
     }
 
-    /// Vectorized probe loop: outer rows arrive in batches, join output
-    /// leaves in batches of up to `max`.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+    /// Vectorized probe loop: outer rows arrive in columnar batches, join
+    /// output leaves in batches of up to `max`.
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
         let mut out = Vec::new();
         loop {
@@ -244,7 +244,7 @@ impl Operator for SmoothIndexNestedLoopJoin {
                 break;
             }
             if self.outer_buf.is_empty() {
-                match self.outer.next_batch(max)? {
+                match self.outer.next_columns(max)? {
                     Some(batch) => self.outer_buf.extend(batch.into_rows()),
                     None => break,
                 }
@@ -252,7 +252,10 @@ impl Operator for SmoothIndexNestedLoopJoin {
             let Some(outer_row) = self.outer_buf.pop_front() else { break };
             self.probe_outer(outer_row)?;
         }
-        Ok((!out.is_empty()).then(|| RowBatch::from_rows(out)))
+        if out.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(ColumnBatch::from_rows(&self.schema, &out)?))
     }
 
     fn close(&mut self) -> Result<()> {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use smooth_executor::{Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, RowBatch, Schema, Tid, Value};
+use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid, Value};
 
 use crate::cost_model::{CostModel, TableGeometry};
 use crate::page_cache::PageIdCache;
@@ -150,7 +150,7 @@ pub struct SmoothScan {
     result_cache: Option<ResultCache>,
     policy: MorphPolicy,
     traditional_until: Option<u64>,
-    /// Pending output: a columnar FIFO all three iterator protocols drain.
+    /// Pending output: a columnar FIFO both iterator protocols drain.
     /// Unordered morphing regions decode their qualifiers straight into
     /// it (no per-row materialization); Mode-0 tuples, Result-Cache hits
     /// and ordered driving tuples append row-wise.
@@ -471,28 +471,13 @@ impl Operator for SmoothScan {
         }
     }
 
-    /// Batched Smooth Scan: cursor probes run until a whole morsel is
-    /// buffered, then it leaves in one call. Morphing decisions (trigger
+    /// Columnar Smooth Scan: cursor probes run until a whole morsel is
+    /// buffered, then it leaves in one call as a columnar morsel whose
+    /// qualifiers never materialized as rows. Morphing decisions (trigger
     /// cardinality, region growth) still advance per probe — the batch
     /// boundary never coarsens the switch logic, it only amortizes
-    /// emission.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        self.flush_cache_eviction();
-        let max = max.max(1);
-        while self.out.pending() < max {
-            if !self.advance()? {
-                break;
-            }
-        }
-        let rows = self.out.pop_rows(max);
-        self.metrics.tuples_emitted += rows.len() as u64;
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
-    }
-
-    /// Columnar Smooth Scan: unordered morphing regions leave as columnar
-    /// morsels whose qualifiers never materialized as rows; per-page
-    /// clock-charge totals are unchanged, so all mode-switch logic and
-    /// region accounting survive byte-for-byte.
+    /// emission — and per-page clock-charge totals are unchanged, so all
+    /// mode-switch logic and region accounting survive byte-for-byte.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         self.flush_cache_eviction();
         let max = max.max(1);
@@ -825,13 +810,13 @@ mod tests {
 
     #[test]
     fn ordered_spill_charges_identically_across_protocols() {
-        // PR 3 latent divergence, fixed by sweeping eviction before the
+        // A latent divergence, fixed by sweeping eviction before the
         // spill decision (`ResultCache::maybe_spill`): with
-        // `result_cache_spill` set, the batched protocols defer the
+        // `result_cache_spill` set, the columnar protocol defers the
         // eviction sweep to morsel boundaries, so `resident` could cross
         // the threshold mid-batch and charge spill I/O the row-at-a-time
         // protocol never pays. Rows *and* clock totals must now agree
-        // across all three drivers.
+        // across both drivers.
         let (heap, index) = table(3000);
         let mut cfg = SmoothScanConfig::default().with_order(true);
         cfg.result_cache_spill = Some(50); // heavy pressure
@@ -844,13 +829,9 @@ mod tests {
                 (rows, s.clock().snapshot(), s.io_snapshot())
             };
         let (volcano_rows, volcano_clock, volcano_io) = run(smooth_executor::collect_rows_volcano);
-        let (batch_rows, batch_clock, batch_io) = run(smooth_executor::collect_rows_batch);
         let (col_rows, col_clock, col_io) = run(collect_rows);
-        assert_eq!(batch_rows, volcano_rows, "row-batch rows");
         assert_eq!(col_rows, volcano_rows, "columnar rows");
-        assert_eq!(batch_clock, volcano_clock, "row-batch clock with spill enabled");
         assert_eq!(col_clock, volcano_clock, "columnar clock with spill enabled");
-        assert_eq!(batch_io, volcano_io);
         assert_eq!(col_io, volcano_io);
     }
 

@@ -2,11 +2,10 @@
 //! filter returns — same multiset, no duplicates, no losses — for every
 //! policy, trigger, order mode, selectivity, data distribution and buffer
 //! pool size. This is the paper's correctness obligation: morphing is an
-//! execution-strategy change only, never a semantics change. The batched
-//! and columnar iterator protocols carry the same obligation: both
-//! `next_batch` and `next_columns` must yield the identical row sequence
-//! as `next`, including across mode switches and with all three protocols
-//! interleaved on one stream.
+//! execution-strategy change only, never a semantics change. The columnar
+//! iterator protocol carries the same obligation: `next_columns` must
+//! yield the identical row sequence as `next`, including across mode
+//! switches and with both protocols interleaved on one stream.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -17,18 +16,6 @@ use smooth_executor::{collect_rows, collect_rows_volcano, FullTableScan, Operato
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
-
-/// Drain through `next_batch(max)` only, checking the batch contract.
-fn collect_batched(op: &mut dyn Operator, max: usize) -> Vec<Row> {
-    op.open().unwrap();
-    let mut rows = Vec::new();
-    while let Some(batch) = op.next_batch(max).unwrap() {
-        assert!(!batch.is_empty() && batch.len() <= max);
-        rows.extend(batch.into_rows());
-    }
-    op.close().unwrap();
-    rows
-}
 
 /// Drain through `next_columns(max)` only, checking the batch contract.
 fn collect_columnar(op: &mut dyn Operator, max: usize) -> Vec<Row> {
@@ -42,17 +29,12 @@ fn collect_columnar(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     rows
 }
 
-/// Drain rotating `next()`, `next_batch(max)` and `next_columns(max)` on
-/// one stream.
+/// Drain alternating `next()` and `next_columns(max)` on one stream.
 fn collect_interleaved(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     op.open().unwrap();
     let mut rows = Vec::new();
     'outer: while let Some(row) = op.next().unwrap() {
         rows.push(row);
-        match op.next_batch(max).unwrap() {
-            Some(batch) => rows.extend(batch.into_rows()),
-            None => break 'outer,
-        }
         match op.next_columns(max).unwrap() {
             Some(batch) => rows.extend(batch.into_rows()),
             None => break 'outer,
@@ -214,7 +196,7 @@ proptest! {
         prop_assert_eq!(canonical(rows), expected);
     }
 
-    /// `next_batch` ≡ `next` for Smooth Scan across every policy, order
+    /// `next_columns` ≡ `next` for Smooth Scan across every policy, order
     /// mode and trigger — in particular across the Mode-0 → morphing
     /// switch an OptimizerDriven trigger fires mid-scan — and for Switch
     /// Scan across its index → full-scan cliff.
@@ -254,7 +236,6 @@ proptest! {
             config,
         );
         let volcano = collect_rows_volcano(&mut ss).unwrap();
-        prop_assert_eq!(&collect_batched(&mut ss, max), &volcano);
         prop_assert_eq!(&collect_columnar(&mut ss, max), &volcano);
         prop_assert_eq!(&collect_interleaved(&mut ss, max), &volcano);
         // The emission counter counts each tuple once under every protocol.
@@ -271,12 +252,11 @@ proptest! {
             estimate,
         );
         let volcano = collect_rows_volcano(&mut sw).unwrap();
-        prop_assert_eq!(&collect_batched(&mut sw, max), &volcano);
         prop_assert_eq!(&collect_columnar(&mut sw, max), &volcano);
         prop_assert_eq!(&collect_interleaved(&mut sw, max), &volcano);
     }
 
-    /// `next_batch` ≡ `next` for the morphing INLJ (Section IV-B inner
+    /// `next_columns` ≡ `next` for the morphing INLJ (Section IV-B inner
     /// path), whose harvest cache state evolves with probe order.
     #[test]
     fn morphing_join_batch_protocol_equals_row_protocol(
@@ -310,7 +290,6 @@ proptest! {
         // a reopen deliberately does not reset.
         let s = storage(8);
         let volcano = collect_rows_volcano(&mut mk_join(&s)).unwrap();
-        prop_assert_eq!(&collect_batched(&mut mk_join(&storage(8)), max), &volcano);
         prop_assert_eq!(&collect_columnar(&mut mk_join(&storage(8)), max), &volcano);
         prop_assert_eq!(&collect_interleaved(&mut mk_join(&storage(8)), max), &volcano);
     }

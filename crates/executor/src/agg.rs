@@ -5,9 +5,9 @@
 
 use std::collections::HashMap;
 
-use smooth_types::{Column, ColumnBatch, DataType, Result, Row, RowBatch, Schema, Value};
+use smooth_types::{Column, ColumnBatch, DataType, Result, Row, Schema, Value, DEFAULT_BATCH_SIZE};
 
-use crate::operator::{batch_size, BoxedOperator, Operator};
+use crate::operator::{BoxedOperator, Operator};
 
 /// Supported aggregate functions over one child column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,17 +79,6 @@ pub(crate) enum Acc {
     Max(Option<Value>),
 }
 
-/// `Float64` view of a value, widening integers — the row-side twin of
-/// [`smooth_types::ColumnVector::float`].
-fn value_as_float(v: &Value) -> Result<f64> {
-    match v {
-        Value::Float(x) => Ok(*x),
-        Value::Int(x) => Ok(*x as f64),
-        Value::Null => Err(smooth_types::Error::exec("expected float, got NULL")),
-        Value::Str(_) => Err(smooth_types::Error::exec("expected float column")),
-    }
-}
-
 impl Acc {
     pub(crate) fn new(f: &AggFunc) -> Acc {
         match f {
@@ -147,51 +136,6 @@ impl Acc {
                     && m.as_ref().is_none_or(|cur| col.cmp_value(phys, cur).is_gt())
                 {
                     *m = Some(col.value(phys));
-                }
-            }
-            _ => unreachable!("accumulator/function mismatch"),
-        }
-        Ok(())
-    }
-
-    /// Fold one materialized row in — the value-slice twin of
-    /// [`Acc::update_columns`], for morsels that already carry rows
-    /// (e.g. downstream of a parallel hash-join probe). Semantics match
-    /// exactly: NULL inputs are skipped, integers widen for sums.
-    pub(crate) fn update_values(&mut self, f: &AggFunc, values: &[Value]) -> Result<()> {
-        match (self, f) {
-            (Acc::Count(n), AggFunc::CountStar) => *n += 1,
-            (Acc::Count(n), AggFunc::Count(c)) => {
-                if !values[*c].is_null() {
-                    *n += 1;
-                }
-            }
-            (Acc::Sum(s), AggFunc::Sum(c)) => {
-                if !values[*c].is_null() {
-                    *s += value_as_float(&values[*c])?;
-                }
-            }
-            (Acc::Sum(s), AggFunc::SumProduct(a, b)) => {
-                if !values[*a].is_null() && !values[*b].is_null() {
-                    *s += value_as_float(&values[*a])? * value_as_float(&values[*b])?;
-                }
-            }
-            (Acc::Avg { sum, n }, AggFunc::Avg(c)) => {
-                if !values[*c].is_null() {
-                    *sum += value_as_float(&values[*c])?;
-                    *n += 1;
-                }
-            }
-            (Acc::Min(m), AggFunc::Min(c)) => {
-                let v = &values[*c];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_lt()) {
-                    *m = Some(v.clone());
-                }
-            }
-            (Acc::Max(m), AggFunc::Max(c)) => {
-                let v = &values[*c];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_gt()) {
-                    *m = Some(v.clone());
                 }
             }
             _ => unreachable!("accumulator/function mismatch"),
@@ -302,7 +246,7 @@ impl Operator for HashAggregate {
         // and one clock charge per batch rather than per tuple, group keys
         // and aggregate inputs read vector-at-a-time off the typed column
         // vectors (no row ever materializes on the way in).
-        while let Some(batch) = self.child.next_columns(batch_size())? {
+        while let Some(batch) = self.child.next_columns(DEFAULT_BATCH_SIZE)? {
             self.storage.clock().charge_cpu(
                 (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * batch.len() as u64,
             );
@@ -337,13 +281,6 @@ impl Operator for HashAggregate {
 
     fn next(&mut self) -> Result<Option<Row>> {
         Ok(self.output.as_mut().and_then(|it| it.next()))
-    }
-
-    /// Emit the aggregated groups in chunks of `max`.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let Some(it) = self.output.as_mut() else { return Ok(None) };
-        let rows: Vec<Row> = it.take(max.max(1)).collect();
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
     }
 
     fn close(&mut self) -> Result<()> {

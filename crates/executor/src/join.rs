@@ -13,11 +13,11 @@ use std::sync::Arc;
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, Storage};
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnVector, Error, Result, Row, RowBatch, Schema, Value,
+    ColumnBatch, ColumnBuffer, ColumnVector, Error, Result, Row, Schema, Value, DEFAULT_BATCH_SIZE,
 };
 
 use crate::expr::Predicate;
-use crate::operator::{batch_size, BoxedOperator, Operator};
+use crate::operator::{BoxedOperator, Operator};
 use crate::spill::{charge_spill_io, spill_partitions, spill_write, SpillFile};
 
 /// Supported join semantics.
@@ -810,7 +810,7 @@ impl Operator for HashJoin {
         let cpu_hash = self.storage.cpu().hash_op_ns;
         // Blocking build, drained morsel-at-a-time with bulk clock
         // charges; payload columns ingest by buffer handoff.
-        while let Some(batch) = self.right.next_columns(batch_size())? {
+        while let Some(batch) = self.right.next_columns(DEFAULT_BATCH_SIZE)? {
             self.storage.clock().charge_cpu(cpu_hash * batch.len() as u64);
             self.table.insert_batch(batch)?;
         }
@@ -824,23 +824,10 @@ impl Operator for HashJoin {
             if let Some(row) = self.out.pop_row() {
                 return Ok(Some(row));
             }
-            if !self.advance(batch_size())? {
+            if !self.advance(DEFAULT_BATCH_SIZE)? {
                 return Ok(None);
             }
         }
-    }
-
-    /// Vectorized probe: whole probe morsels fill the output buffer, up
-    /// to `max` rows leave per call.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        while self.out.pending() < max {
-            if !self.advance(max)? {
-                break;
-            }
-        }
-        let rows = self.out.pop_rows(max);
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
     }
 
     /// Columnar probe: keys are read vector-at-a-time off the left key
@@ -871,7 +858,7 @@ impl Operator for HashJoin {
 
 /// Merge join over inputs already sorted on their join columns (inner only).
 ///
-/// Keeps the default (row-looping) `next_batch`: the merge frontier
+/// Keeps the default (row-looping) `next_columns`: the merge frontier
 /// advances one key group at a time, so there is no page- or batch-shaped
 /// unit of work to amortize — vectorizing it would only buffer rows it
 /// already buffers.
@@ -1058,7 +1045,7 @@ impl Operator for NestedLoopJoin {
         self.left.open()?;
         self.right.open()?;
         self.right_rows.clear();
-        while let Some(batch) = self.right.next_batch(batch_size())? {
+        while let Some(batch) = self.right.next_columns(DEFAULT_BATCH_SIZE)? {
             self.right_rows.extend(batch.into_rows());
         }
         self.right.close()?;
@@ -1227,9 +1214,9 @@ impl Operator for IndexNestedLoopJoin {
         }
     }
 
-    /// Vectorized probe loop: outer rows arrive in batches, join output
-    /// leaves in batches of up to `max`.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+    /// Vectorized probe loop: outer rows arrive in columnar batches, join
+    /// output leaves in batches of up to `max`.
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
         let mut out = Vec::new();
         loop {
@@ -1243,7 +1230,7 @@ impl Operator for IndexNestedLoopJoin {
                 break;
             }
             if self.outer_buf.is_empty() {
-                match self.outer.next_batch(max)? {
+                match self.outer.next_columns(max)? {
                     Some(batch) => self.outer_buf.extend(batch.into_rows()),
                     None => break,
                 }
@@ -1253,7 +1240,10 @@ impl Operator for IndexNestedLoopJoin {
                 out.push(row);
             }
         }
-        Ok((!out.is_empty()).then(|| RowBatch::from_rows(out)))
+        if out.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(ColumnBatch::from_rows(&self.schema, &out)?))
     }
 
     fn close(&mut self) -> Result<()> {
@@ -1624,7 +1614,7 @@ mod tests {
     fn drain(j: &mut HashJoin) -> Vec<Row> {
         j.open().unwrap();
         let mut rows = Vec::new();
-        while let Some(batch) = j.next_columns(crate::operator::batch_size()).unwrap() {
+        while let Some(batch) = j.next_columns(DEFAULT_BATCH_SIZE).unwrap() {
             rows.extend(batch.into_rows());
         }
         rows

@@ -1,27 +1,24 @@
-//! The iterator protocol: row-at-a-time and batched.
+//! The iterator protocol: row-at-a-time and columnar.
 //!
 //! `open → next* → close`, the pipeline model whose preservation is one of
 //! Smooth Scan's selling points over Sort Scan ("Smooth Scan adheres to the
 //! pipelining model, which is important since the access path operators are
 //! executed first and can stall the rest of the stack", Section VI-C).
 //!
-//! On top of the classic Volcano `next()` the trait offers two vectorized
-//! protocols: [`Operator::next_batch`] (a row-major [`RowBatch`] of up to
-//! `max` rows per virtual call) and [`Operator::next_columns`] (a
-//! column-major [`ColumnBatch`] with typed vectors and a selection
-//! vector). Defaults bridge each protocol down — `next_batch` loops
-//! `next()`, `next_columns` converts a `next_batch` result — so every
-//! operator keeps working unchanged; hot operators override them to
-//! amortize dynamic dispatch, per-tuple `Result`/`Option` traffic and
-//! virtual-clock charges across a whole page or batch, and (columnar) to
-//! skip per-row `Vec<Value>` materialization entirely. All three
-//! protocols may be interleaved freely on the same operator — they
-//! consume the same underlying stream and together produce the exact row
-//! sequence any one of them would alone.
+//! The trait has exactly two row-producing methods. [`Operator::next`] is
+//! the classic Volcano call and the reference the differential suites
+//! check against. [`Operator::next_columns`] is the vectorized fast path:
+//! a column-major [`ColumnBatch`] of up to `max` rows per virtual call,
+//! with typed vectors and a selection vector. Its default bridges straight
+//! from `next()`, so every operator works unchanged; hot operators
+//! override it to amortize dynamic dispatch, per-tuple `Result`/`Option`
+//! traffic and virtual-clock charges across a whole page or batch, and to
+//! skip per-row `Vec<Value>` materialization entirely. The two protocols
+//! may be interleaved freely on the same operator — they consume the same
+//! underlying stream and together produce the exact row sequence either
+//! one would alone.
 
-use std::sync::OnceLock;
-
-use smooth_types::{ColumnBatch, Result, Row, RowBatch, Schema, DEFAULT_BATCH_SIZE};
+use smooth_types::{ColumnBatch, Result, Row, Schema, DEFAULT_BATCH_SIZE};
 
 /// A physical operator producing rows.
 pub trait Operator {
@@ -34,41 +31,33 @@ pub trait Operator {
     /// Produce the next row, or `None` when exhausted.
     fn next(&mut self) -> Result<Option<Row>>;
 
-    /// Produce up to `max` rows in one call, or `None` when exhausted.
-    ///
-    /// Contract: a returned batch is non-empty and holds at most `max`
-    /// rows; short batches do *not* signal exhaustion (operators emit at
-    /// natural morsel boundaries such as a heap page run), only `None`
-    /// does. The row sequence across calls is identical to what repeated
-    /// `next()` calls would produce.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        let mut batch = RowBatch::with_capacity(max.min(DEFAULT_BATCH_SIZE));
-        while batch.len() < max {
-            match self.next()? {
-                Some(row) => batch.push(row),
-                None => break,
-            }
-        }
-        Ok((!batch.is_empty()).then_some(batch))
-    }
-
     /// Produce up to `max` rows as a columnar batch, or `None` when
     /// exhausted.
     ///
-    /// Same contract as [`Operator::next_batch`] — non-empty, at most
-    /// `max` live rows, short batches do not signal exhaustion, and the
-    /// live-row sequence across calls is identical to what `next()` would
-    /// produce. The three protocols may be interleaved freely on one
-    /// operator.
+    /// Contract: a returned batch is non-empty and holds at most `max`
+    /// live rows; short batches do *not* signal exhaustion (operators emit
+    /// at natural morsel boundaries such as a heap page run), only `None`
+    /// does. The live-row sequence across calls is identical to what
+    /// repeated `next()` calls would produce, and the two protocols may be
+    /// interleaved freely on one operator.
     ///
-    /// The default implementation bridges through `next_batch` (one
-    /// row→column conversion), so every operator works unchanged; hot
-    /// operators override it to decode straight into column vectors and
-    /// to filter via selection vectors instead of moving rows.
+    /// The default implementation loops `next()` and converts the rows
+    /// once, so every operator works unchanged; hot operators override it
+    /// to decode straight into column vectors and to filter via selection
+    /// vectors instead of moving rows.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let Some(batch) = self.next_batch(max)? else { return Ok(None) };
-        Ok(Some(ColumnBatch::from_rows(self.schema(), batch.rows())?))
+        let max = max.max(1);
+        let mut rows = Vec::with_capacity(max.min(DEFAULT_BATCH_SIZE));
+        while rows.len() < max {
+            match self.next()? {
+                Some(row) => rows.push(row),
+                None => break,
+            }
+        }
+        if rows.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(ColumnBatch::from_rows(self.schema(), &rows)?))
     }
 
     /// Release resources. Idempotent.
@@ -83,23 +72,6 @@ pub trait Operator {
 /// build input) to a worker pool; every operator in the workspace is a
 /// plain owned data structure, so the bound costs nothing.
 pub type BoxedOperator = Box<dyn Operator + Send>;
-
-/// Rows per `next_batch` request used by the pipeline drivers: the
-/// `SMOOTH_BATCH_ROWS` environment variable when set (minimum 1), else
-/// [`DEFAULT_BATCH_SIZE`]. The variable is read **once per process** and
-/// latched; changing it after the first query has run has no effect
-/// (callers sweeping batch sizes should pass `max` to `next_batch`
-/// directly instead).
-pub fn batch_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        std::env::var("SMOOTH_BATCH_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_BATCH_SIZE)
-    })
-}
 
 /// Run an operator to completion through the *columnar* protocol and
 /// collect its output as rows. This is the row-materializing convenience
@@ -117,31 +89,16 @@ pub fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Row>> {
 pub fn collect_batches(op: &mut dyn Operator) -> Result<Vec<ColumnBatch>> {
     op.open()?;
     let mut batches = Vec::new();
-    let max = batch_size();
-    while let Some(batch) = op.next_columns(max)? {
+    while let Some(batch) = op.next_columns(DEFAULT_BATCH_SIZE)? {
         batches.push(batch);
     }
     op.close()?;
     Ok(batches)
 }
 
-/// Run an operator to completion through the row-major batch protocol.
-/// Kept as the row-batch baseline the `columnar` perf-smoke experiment
-/// measures the columnar driver against.
-pub fn collect_rows_batch(op: &mut dyn Operator) -> Result<Vec<Row>> {
-    op.open()?;
-    let mut rows = Vec::new();
-    let max = batch_size();
-    while let Some(batch) = op.next_batch(max)? {
-        rows.extend(batch.into_rows());
-    }
-    op.close()?;
-    Ok(rows)
-}
-
 /// Run an operator to completion through the row-at-a-time protocol.
-/// Kept as the Volcano reference driver (and the baseline the `batch`
-/// perf-smoke experiment measures the row-batch path against).
+/// Kept as the Volcano reference driver (and the baseline the `columnar`
+/// perf-smoke experiment measures the columnar driver against).
 pub fn collect_rows_volcano(op: &mut dyn Operator) -> Result<Vec<Row>> {
     op.open()?;
     let mut rows = Vec::new();
@@ -189,17 +146,6 @@ impl Operator for ValuesOp {
         }
     }
 
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        debug_assert!(self.opened, "next_batch() before open()");
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + max.max(1)).min(self.rows.len());
-        let batch = RowBatch::from_rows(self.rows[self.pos..end].to_vec());
-        self.pos = end;
-        Ok(Some(batch))
-    }
-
     fn close(&mut self) -> Result<()> {
         self.opened = false;
         Ok(())
@@ -242,12 +188,12 @@ mod tests {
         let mut op = ValuesOp::new(schema, rows.clone());
         op.open().unwrap();
         let mut seen = Vec::new();
-        while let Some(b) = op.next_batch(3).unwrap() {
+        while let Some(b) = op.next_columns(3).unwrap() {
             assert!(!b.is_empty() && b.len() <= 3);
             seen.extend(b.into_rows());
         }
         assert_eq!(seen, rows);
-        assert!(op.next_batch(3).unwrap().is_none());
+        assert!(op.next_columns(3).unwrap().is_none());
         op.close().unwrap();
     }
 
@@ -259,18 +205,13 @@ mod tests {
         op.open().unwrap();
         let mut seen = Vec::new();
         seen.push(op.next().unwrap().unwrap());
-        seen.extend(op.next_batch(4).unwrap().unwrap().into_rows());
+        seen.extend(op.next_columns(4).unwrap().unwrap().into_rows());
         seen.push(op.next().unwrap().unwrap());
-        while let Some(b) = op.next_batch(4).unwrap() {
+        while let Some(b) = op.next_columns(4).unwrap() {
             seen.extend(b.into_rows());
         }
         assert_eq!(seen, rows);
         op.close().unwrap();
-    }
-
-    #[test]
-    fn batch_size_knob_defaults() {
-        assert!(batch_size() >= 1);
     }
 
     #[test]
@@ -282,13 +223,13 @@ mod tests {
             (0..23).map(|i| Row::new(vec![Value::Int(i), Value::str(format!("r{i}"))])).collect();
         let mut op = ValuesOp::new(schema, rows.clone());
         assert_eq!(collect_rows(&mut op).unwrap(), rows, "columnar driver");
-        assert_eq!(collect_rows_batch(&mut op).unwrap(), rows, "row-batch driver");
-        // all three protocols interleave on one stream
+        assert_eq!(collect_rows_volcano(&mut op).unwrap(), rows, "Volcano driver");
+        // the two protocols interleave on one stream through the bridge
         op.open().unwrap();
         let mut seen = Vec::new();
         seen.push(op.next().unwrap().unwrap());
         seen.extend(op.next_columns(4).unwrap().unwrap().into_rows());
-        seen.extend(op.next_batch(4).unwrap().unwrap().into_rows());
+        seen.push(op.next().unwrap().unwrap());
         while let Some(b) = op.next_columns(5).unwrap() {
             assert!(!b.is_empty() && b.len() <= 5);
             seen.extend(b.into_rows());

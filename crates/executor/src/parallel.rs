@@ -92,50 +92,6 @@ use crate::operator::BoxedOperator;
 use crate::scan::fill_page_columns;
 use crate::{AggFunc, JoinType};
 
-/// A unit of work flowing between stages: columnar end to end in the
-/// default pipeline (the probe stage emits gathered columnar batches);
-/// the row variant remains for generality.
-#[derive(Debug)]
-pub enum Morsel {
-    /// Columnar morsel (possibly carrying a selection vector).
-    Cols(ColumnBatch),
-    /// Materialized rows.
-    Rows(Vec<Row>),
-}
-
-impl Morsel {
-    /// Live rows in the morsel.
-    pub fn len(&self) -> usize {
-        match self {
-            Morsel::Cols(b) => b.len(),
-            Morsel::Rows(r) => r.len(),
-        }
-    }
-
-    /// `true` when no rows are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialize as rows (honoring any selection vector).
-    pub fn into_rows(self) -> Vec<Row> {
-        match self {
-            Morsel::Cols(b) => b.into_rows(),
-            Morsel::Rows(r) => r,
-        }
-    }
-
-    /// Keep columnar morsels columnar; convert a stray row morsel into a
-    /// batch of `schema`. The Collect sink folds through this, so its
-    /// output never materializes rows inside the scheduler.
-    pub fn into_batch(self, schema: &Schema) -> Result<ColumnBatch> {
-        match self {
-            Morsel::Cols(b) => Ok(b),
-            Morsel::Rows(r) => ColumnBatch::from_rows(schema, &r),
-        }
-    }
-}
-
 /// Where morsels come from.
 pub enum ParallelSource {
     /// A partitioned heap scan: workers claim readahead-sized page runs
@@ -275,8 +231,9 @@ pub struct ParallelPipeline {
     pub sink: SinkSpec,
     /// Shared storage handle (clock + pool the whole pipeline charges).
     pub storage: Storage,
-    /// Rows per morsel for [`ParallelSource::Shared`] pulls (the serial
-    /// driver's `batch_size()` to match it exactly).
+    /// Rows per morsel for [`ParallelSource::Shared`] pulls
+    /// ([`smooth_types::DEFAULT_BATCH_SIZE`] matches the serial driver
+    /// exactly).
     pub morsel_rows: usize,
 }
 
@@ -298,79 +255,23 @@ pub(crate) enum Stage {
 }
 
 impl Stage {
-    fn apply(&self, storage: &Storage, morsel: Morsel) -> Result<Morsel> {
+    fn apply(&self, storage: &Storage, mut batch: ColumnBatch) -> Result<ColumnBatch> {
         match self {
-            Stage::Filter(pred) => match morsel {
-                Morsel::Cols(mut batch) => {
-                    let selection = pred.filter_batch(&batch)?;
-                    batch.set_selection(selection);
-                    Ok(Morsel::Cols(batch))
-                }
-                Morsel::Rows(rows) => {
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        if pred.eval(&row)? {
-                            kept.push(row);
-                        }
-                    }
-                    Ok(Morsel::Rows(kept))
-                }
-            },
-            Stage::Project(cols) => match morsel {
-                Morsel::Cols(batch) => Ok(Morsel::Cols(batch.project(cols)?)),
-                Morsel::Rows(rows) => Ok(Morsel::Rows(
-                    rows.into_iter()
-                        .map(|row| Row::new(cols.iter().map(|&c| row.get(c).clone()).collect()))
-                        .collect(),
-                )),
-            },
-            Stage::Probe(table, out_schema) => probe_morsel(table, out_schema, storage, morsel),
-        }
-    }
-}
-
-/// Probe one morsel against a build table via the shared probe loop
-/// ([`JoinBuildTable::probe_columns`] — the exact code the serial
-/// [`crate::HashJoin`] runs, so the charge model lives in one place):
-/// output gathers probe columns and matched payload columns straight
-/// into a fresh columnar batch — no `Row` materializes.
-fn probe_morsel(
-    table: &ProbeTable,
-    out_schema: &Schema,
-    storage: &Storage,
-    morsel: Morsel,
-) -> Result<Morsel> {
-    let cpu = *storage.cpu();
-    let clock = storage.clock();
-    match morsel {
-        Morsel::Cols(batch) => {
-            let mut out = ColumnBatch::for_schema(out_schema);
-            table.table.probe_columns(storage, &batch, table.left_col, table.ty, &mut out)?;
-            Ok(Morsel::Cols(out))
-        }
-        Morsel::Rows(rows) => {
-            let mut out = Vec::new();
-            for left_row in rows {
-                clock.charge_cpu(cpu.hash_op_ns);
-                let key = left_row.get(table.left_col);
-                if key.is_null() {
-                    continue;
-                }
-                let Some(matches) = table.table.matches(key) else { continue };
-                match table.ty {
-                    JoinType::Inner => {
-                        clock.charge_cpu(cpu.emit_tuple_ns * matches.len() as u64);
-                        out.extend(
-                            matches.iter().map(|&m| left_row.concat(&table.table.payload_row(m))),
-                        );
-                    }
-                    JoinType::LeftSemi => {
-                        clock.charge_cpu(cpu.emit_tuple_ns);
-                        out.push(left_row);
-                    }
-                }
+            Stage::Filter(pred) => {
+                let selection = pred.filter_batch(&batch)?;
+                batch.set_selection(selection);
+                Ok(batch)
             }
-            Ok(Morsel::Rows(out))
+            Stage::Project(cols) => batch.project(cols),
+            Stage::Probe(table, out_schema) => {
+                // The shared probe loop ([`JoinBuildTable::probe_columns`]
+                // — the exact code the serial [`crate::HashJoin`] runs, so
+                // the charge model lives in one place) gathers probe and
+                // matched payload columns into a fresh batch.
+                let mut out = ColumnBatch::for_schema(out_schema);
+                table.table.probe_columns(storage, &batch, table.left_col, table.ty, &mut out)?;
+                Ok(out)
+            }
         }
     }
 }
@@ -397,10 +298,15 @@ impl PartialAgg {
     /// Fold one morsel in, charging `(hash + update·|aggs|)` per live
     /// row — the serial operator's per-batch bulk charge, which is
     /// per-row underneath and therefore boundary-independent.
-    pub(crate) fn update(&mut self, storage: &Storage, seq: u64, morsel: &Morsel) -> Result<()> {
+    pub(crate) fn update(
+        &mut self,
+        storage: &Storage,
+        seq: u64,
+        batch: &ColumnBatch,
+    ) -> Result<()> {
         let cpu = *storage.cpu();
         storage.clock().charge_cpu(
-            (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * morsel.len() as u64,
+            (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * batch.len() as u64,
         );
         // A partial is no longer fed by one worker in monotone seq
         // order: the scheduler's slot pool hands a partial to whichever
@@ -409,31 +315,14 @@ impl PartialAgg {
         // just on insert) keeps the recorded position equal to the
         // global first occurrence regardless of fold order.
         let PartialAgg { group_cols, aggs, groups } = self;
-        match morsel {
-            Morsel::Cols(batch) => {
-                for (idx, phys) in batch.live_rows().enumerate() {
-                    let key: Vec<Value> =
-                        group_cols.iter().map(|&c| batch.column(c).value(phys)).collect();
-                    let (pos, accs) = groups.entry(key).or_insert_with(|| {
-                        ((u64::MAX, u64::MAX), aggs.iter().map(Acc::new).collect())
-                    });
-                    *pos = (*pos).min((seq, idx as u64));
-                    for (acc, f) in accs.iter_mut().zip(aggs.iter()) {
-                        acc.update_columns(f, batch, phys)?;
-                    }
-                }
-            }
-            Morsel::Rows(rows) => {
-                for (idx, row) in rows.iter().enumerate() {
-                    let key: Vec<Value> = group_cols.iter().map(|&c| row.get(c).clone()).collect();
-                    let (pos, accs) = groups.entry(key).or_insert_with(|| {
-                        ((u64::MAX, u64::MAX), aggs.iter().map(Acc::new).collect())
-                    });
-                    *pos = (*pos).min((seq, idx as u64));
-                    for (acc, f) in accs.iter_mut().zip(aggs.iter()) {
-                        acc.update_values(f, row.values())?;
-                    }
-                }
+        for (idx, phys) in batch.live_rows().enumerate() {
+            let key: Vec<Value> = group_cols.iter().map(|&c| batch.column(c).value(phys)).collect();
+            let (pos, accs) = groups
+                .entry(key)
+                .or_insert_with(|| ((u64::MAX, u64::MAX), aggs.iter().map(Acc::new).collect()));
+            *pos = (*pos).min((seq, idx as u64));
+            for (acc, f) in accs.iter_mut().zip(aggs.iter()) {
+                acc.update_columns(f, batch, phys)?;
             }
         }
         Ok(())
@@ -653,20 +542,20 @@ pub(crate) fn process_item(
     decoder: &mut Option<HeapDecoder>,
     stages: &[Stage],
     storage: &Storage,
-) -> Result<Morsel> {
-    let mut morsel = match item {
-        SourceItem::Batch(batch) => Morsel::Cols(batch),
+) -> Result<ColumnBatch> {
+    let mut batch = match item {
+        SourceItem::Batch(batch) => batch,
         SourceItem::Pages(pages) => {
             let decoder = decoder
                 .as_mut()
                 .ok_or_else(|| Error::exec("heap source item reached a worker with no decoder"))?;
-            Morsel::Cols(decoder.decode(storage, &pages)?)
+            decoder.decode(storage, &pages)?
         }
     };
     for stage in stages {
-        morsel = stage.apply(storage, morsel)?;
+        batch = stage.apply(storage, batch)?;
     }
-    Ok(morsel)
+    Ok(batch)
 }
 
 /// Per-morsel virtual-clock ledger recorded by
@@ -1181,14 +1070,6 @@ pub(crate) fn resolve_stages(
     Ok((resolved, schema))
 }
 
-/// Ensure a morsel arriving at a build sink is columnar.
-pub(crate) fn build_batch(morsel: Morsel, schema: &Schema) -> Result<ColumnBatch> {
-    match morsel {
-        Morsel::Cols(batch) => Ok(batch),
-        Morsel::Rows(rows) => ColumnBatch::from_rows(schema, &rows),
-    }
-}
-
 /// A [`BuildSpec`] with its source pulled out so the open cascade in
 /// [`prepare`] can open sources in `open_at`/`open_order` order, not
 /// build order.
@@ -1272,8 +1153,7 @@ fn build_inline(
         let before = clock.snapshot();
         let Some(item) = core.pull(storage)? else { break };
         let after_src = clock.snapshot();
-        let morsel = process_item(item, &mut decoder, stages, storage)?;
-        let batch = build_batch(morsel, schema)?;
+        let batch = process_item(item, &mut decoder, stages, storage)?;
         clock.charge_cpu(cpu_hash * batch.len() as u64);
         partial.fold(seq, batch)?;
         if let Some(l) = ledger.as_deref_mut() {
@@ -1426,11 +1306,11 @@ fn run_inline(
         let before = clock.snapshot();
         let Some(item) = core.pull(&storage)? else { break };
         let after_src = clock.snapshot();
-        let morsel = process_item(item, &mut decoder, &stages, &storage)?;
+        let batch = process_item(item, &mut decoder, &stages, &storage)?;
         let after_proc = clock.snapshot();
         match agg.as_mut() {
-            Some(state) => state.update(&storage, seq, &morsel)?,
-            None => rows.extend(morsel.into_rows()),
+            Some(state) => state.update(&storage, seq, &batch)?,
+            None => rows.extend(batch.into_rows()),
         }
         if let Some(l) = ledger.as_deref_mut() {
             let after_sink = clock.snapshot();
@@ -1476,7 +1356,7 @@ fn run_inline(
 // Compile-time Send audit: everything a worker thread touches.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<Morsel>();
+    assert_send::<ColumnBatch>();
     assert_send::<Stage>();
     assert_send::<Storage>();
     assert_send::<BoxedOperator>();
@@ -1488,9 +1368,9 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::operator::{collect_rows, ValuesOp};
-    use crate::{batch_size, Filter, FullTableScan, HashAggregate, HashJoin, Project};
+    use crate::{Filter, FullTableScan, HashAggregate, HashJoin, Project};
     use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, StorageConfig};
-    use smooth_types::{Column, DataType};
+    use smooth_types::{Column, DataType, DEFAULT_BATCH_SIZE};
 
     fn table(rows: i64) -> Arc<HeapFile> {
         let schema = Schema::new(vec![
@@ -1554,7 +1434,7 @@ mod tests {
             stages,
             sink: SinkSpec::Collect,
             storage: s.clone(),
-            morsel_rows: batch_size(),
+            morsel_rows: DEFAULT_BATCH_SIZE,
         }
     }
 
@@ -1610,7 +1490,7 @@ mod tests {
                 stages: vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
-                morsel_rows: batch_size(),
+                morsel_rows: DEFAULT_BATCH_SIZE,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "rows diverge at {workers} workers");
@@ -2007,13 +1887,13 @@ mod tests {
         let readahead = 4u32;
         let (core, _) = open_source(
             ParallelSource::Heap { heap, predicate: Predicate::True, readahead },
-            batch_size(),
+            DEFAULT_BATCH_SIZE,
         )
         .unwrap();
         assert_eq!(core.remaining_hint(), Some(pages.div_ceil(readahead as usize)));
         let schema = Schema::new(vec![Column::new("x", DataType::Int64)]).unwrap();
         let op: BoxedOperator = Box::new(ValuesOp::new(schema, vec![Row::new(vec![0i64.into()])]));
-        let (core, _) = open_source(ParallelSource::Shared { op }, batch_size()).unwrap();
+        let (core, _) = open_source(ParallelSource::Shared { op }, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(core.remaining_hint(), None, "shared operators cannot size lock holds");
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, PageId, Result, Row, RowBatch, Schema, Tid};
+use smooth_types::{ColumnBatch, PageId, Result, Row, Schema, Tid};
 
 use crate::expr::{Predicate, ScanFilter};
 use crate::operator::Operator;
@@ -59,8 +59,8 @@ pub const SORT_SCAN_PREFETCH_GAP: u32 = 16;
 ///
 /// The scan is columnar-native: every refill probes one readahead run of
 /// pages through the [`ScanFilter`] and decodes the qualifiers straight
-/// into a [`smooth_types::ColumnBuffer`] (no per-row `Vec<Value>`), from which all
-/// three iterator protocols drain in one shared FIFO order.
+/// into a [`smooth_types::ColumnBuffer`] (no per-row `Vec<Value>`), from which both
+/// iterator protocols drain in one shared FIFO order.
 pub struct FullTableScan {
     heap: Arc<HeapFile>,
     storage: Storage,
@@ -132,18 +132,6 @@ impl Operator for FullTableScan {
         loop {
             if let Some(row) = self.out.pop_row() {
                 return Ok(Some(row));
-            }
-            if !self.refill()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        loop {
-            if !self.out.is_drained() {
-                return Ok(Some(RowBatch::from_rows(self.out.pop_rows(max))));
             }
             if !self.refill()? {
                 return Ok(None);
@@ -231,33 +219,11 @@ impl Operator for IndexScan {
         Ok(None)
     }
 
-    /// Batched index scan: one virtual call drives up to `max` cursor
+    /// Columnar index scan: one virtual call drives up to `max` cursor
     /// probes. The heap fetch per qualifying TID is unchanged (that random
     /// I/O *is* the index scan's cost profile); what batching removes is
-    /// the per-tuple dispatch and the full decode of residual-failing rows.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let Some(cursor) = self.cursor.as_mut() else {
-            return Err(smooth_types::Error::exec("IndexScan::next_batch before open"));
-        };
-        let max = max.max(1);
-        let mut rows = Vec::new();
-        let cpu = *self.storage.cpu();
-        while rows.len() < max {
-            let Some((_, tid)) = cursor.next() else { break };
-            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
-            let view = PageView::new(&page)?;
-            let bytes = view.get(tid.slot)?;
-            if let Some(row) = self.filter.filter_decode(self.heap.schema(), bytes)? {
-                self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-                rows.push(row);
-            }
-        }
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
-    }
-
-    /// Columnar index scan: same probe loop as the batched path, but
-    /// qualifiers decode straight into column vectors.
+    /// the per-tuple dispatch, and qualifiers decode straight into column
+    /// vectors.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let Some(cursor) = self.cursor.as_mut() else {
             return Err(smooth_types::Error::exec("IndexScan::next_columns before open"));
@@ -299,9 +265,9 @@ struct PrefetchRun {
 /// Sort Scan (Bitmap Heap Scan): blocking TID sort, then page-ordered fetch.
 ///
 /// Like [`FullTableScan`], the refill is columnar-native: only the
-/// qualifying slots the bitmap named are probed (PR 2's `ScanFilter`
-/// encoded-tuple pushdown, now applied to the TID-ordered refill on every
-/// protocol), and qualifiers decode straight into the shared
+/// qualifying slots the bitmap named are probed (the `ScanFilter`
+/// encoded-tuple pushdown, applied to the TID-ordered refill on both
+/// protocols), and qualifiers decode straight into the shared
 /// [`smooth_types::ColumnBuffer`].
 pub struct SortScan {
     heap: Arc<HeapFile>,
@@ -432,22 +398,6 @@ impl Operator for SortScan {
         loop {
             if let Some(row) = self.out.pop_row() {
                 return Ok(Some(row));
-            }
-            if !self.refill()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Batched Sort Scan: one coalesced prefetch run per refill, with the
-    /// same probe-then-decode pushdown and per-page CPU charging as the
-    /// batched full scan — but only the qualifying slots of each page are
-    /// inspected (the bitmap already named them).
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        loop {
-            if !self.out.is_drained() {
-                return Ok(Some(RowBatch::from_rows(self.out.pop_rows(max))));
             }
             if !self.refill()? {
                 return Ok(None);

@@ -99,9 +99,9 @@ use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 use crate::expr::Predicate;
 use crate::join::{JoinBuildPartial, JoinBuildTable, PartialPartition};
 use crate::parallel::{
-    build_batch, open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec,
-    HeapDecoder, Morsel, ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, SinkSpec,
-    SourceCore, SourceItem, Stage, StageSpec,
+    open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec, HeapDecoder,
+    ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, SinkSpec, SourceCore, SourceItem,
+    Stage, StageSpec,
 };
 use crate::sort::SortKey;
 use crate::{AggFunc, JoinType};
@@ -306,7 +306,7 @@ enum SinkKind {
 /// Collect sinks fold into `batches` (columnar end to end); sort sinks
 /// fold into `rows` (their suffix is a charged row sort).
 struct SinkState {
-    pending: BTreeMap<u64, Morsel>,
+    pending: BTreeMap<u64, ColumnBatch>,
     next: u64,
     batches: Vec<ColumnBatch>,
     rows: Vec<Row>,
@@ -340,10 +340,6 @@ struct ActiveQuery {
     builds: Vec<BuildPhase>,
     probe_specs: Vec<PlannedStage>,
     sink_kind: SinkKind,
-    /// The staged output schema — what every probe morsel conforms to
-    /// after the last stage (used to convert stray row morsels when the
-    /// Collect sink folds columnar batches).
-    out_schema: Schema,
     /// The probe source, opened at admission (serial open order) and
     /// parked until the builds finish.
     probe_source: Mutex<Option<ParallelSource>>,
@@ -464,7 +460,6 @@ impl ActiveQuery {
             builds: build_phases,
             probe_specs,
             sink_kind,
-            out_schema: schema,
             probe_source: Mutex::new(Some(source)),
             parked_probe: Mutex::new(None),
             queues: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -550,8 +545,7 @@ impl ActiveQuery {
                 let stages = lock(&phase.stages)
                     .clone()
                     .ok_or_else(|| Error::exec("build morsel before stages resolved"))?;
-                let morsel = process_item(item, decoder, &stages, &self.storage)?;
-                let batch = build_batch(morsel, &phase.schema)?;
+                let batch = process_item(item, decoder, &stages, &self.storage)?;
                 self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
                 let mut partial = lock(&self.build_slots).pop().unwrap_or_else(|| {
                     JoinBuildPartial::new(&phase.schema, phase.right_col, phase.partitions)
@@ -564,23 +558,23 @@ impl ActiveQuery {
                 let stages = lock(&self.probe_stages)
                     .clone()
                     .ok_or_else(|| Error::exec("probe morsel before stages resolved"))?;
-                let morsel = process_item(item, decoder, &stages, &self.storage)?;
+                let batch = process_item(item, decoder, &stages, &self.storage)?;
                 if let SinkKind::Agg { group_cols, aggs, exact: true } = &self.sink_kind {
                     let mut slot = lock(&self.agg_slots)
                         .pop()
                         .unwrap_or_else(|| PartialAgg::new(group_cols, aggs));
-                    slot.update(&self.storage, seq, &morsel)?;
+                    slot.update(&self.storage, seq, &batch)?;
                     lock(&self.agg_slots).push(slot);
                     return Ok(());
                 }
                 let collect = matches!(self.sink_kind, SinkKind::Collect);
                 let mut sink = lock(&self.sink);
-                sink.pending.insert(seq, morsel);
+                sink.pending.insert(seq, batch);
                 let SinkState { pending, next, batches, rows, ordered_agg } = &mut *sink;
                 while let Some(m) = pending.remove(next) {
                     match ordered_agg.as_mut() {
                         Some(agg) => agg.update(&self.storage, *next, &m)?,
-                        None if collect => batches.push(m.into_batch(&self.out_schema)?),
+                        None if collect => batches.push(m),
                         None => rows.extend(m.into_rows()),
                     }
                     *next += 1;
@@ -1369,7 +1363,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::operator::collect_rows;
-    use crate::{batch_size, FullTableScan, SinkSpec};
+    use crate::{FullTableScan, SinkSpec};
     use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};
     use smooth_types::{Column, DataType, DataType::Int64, Value};
 
@@ -1411,7 +1405,7 @@ mod tests {
             stages: Vec::new(),
             sink: SinkSpec::Collect,
             storage: s.clone(),
-            morsel_rows: batch_size(),
+            morsel_rows: smooth_types::DEFAULT_BATCH_SIZE,
         }
     }
 

@@ -12,10 +12,10 @@
 
 use std::cmp::Ordering;
 
-use smooth_types::{Result, Row, RowBatch, Schema};
+use smooth_types::{Result, Row, Schema, DEFAULT_BATCH_SIZE};
 
 use crate::extsort::ExternalSorter;
-use crate::operator::{batch_size, BoxedOperator, Operator};
+use crate::operator::{BoxedOperator, Operator};
 
 /// One sort key: column ordinal and direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl Operator for Sort {
             // the in-memory path's.
             let mut sorter =
                 ExternalSorter::new(self.storage.clone(), self.keys.clone(), self.mem_bytes);
-            while let Some(batch) = self.child.next_batch(batch_size())? {
+            while let Some(batch) = self.child.next_columns(DEFAULT_BATCH_SIZE)? {
                 for row in batch.into_rows() {
                     sorter.push(row)?;
                 }
@@ -133,7 +133,7 @@ impl Operator for Sort {
             sorter.finish()?
         } else {
             let mut rows = Vec::new();
-            while let Some(batch) = self.child.next_batch(batch_size())? {
+            while let Some(batch) = self.child.next_columns(DEFAULT_BATCH_SIZE)? {
                 rows.extend(batch.into_rows());
             }
             self.child.close()?;
@@ -146,13 +146,6 @@ impl Operator for Sort {
 
     fn next(&mut self) -> Result<Option<Row>> {
         Ok(self.sorted.as_mut().and_then(|it| it.next()))
-    }
-
-    /// Emit the sorted output in chunks of `max`.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let Some(it) = self.sorted.as_mut() else { return Ok(None) };
-        let rows: Vec<Row> = it.take(max.max(1)).collect();
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
     }
 
     fn close(&mut self) -> Result<()> {

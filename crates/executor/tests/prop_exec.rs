@@ -1,9 +1,9 @@
 //! Property tests for the executor: join operators must agree with a
 //! nested-loop oracle for arbitrary inputs, every access path must
-//! return the same multiset as a filtered full scan, and the batched and
-//! columnar iterator protocols must produce the exact row sequence of the
+//! return the same multiset as a filtered full scan, and the columnar
+//! iterator protocol must produce the exact row sequence of the
 //! row-at-a-time protocol for every operator — including with selection
-//! vectors active and with all three protocols interleaved on one stream.
+//! vectors active and with both protocols interleaved on one stream.
 
 use std::sync::Arc;
 
@@ -17,20 +17,6 @@ use smooth_executor::{
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
-
-/// Drain an operator through `next_batch(max)` only.
-fn collect_batched(op: &mut dyn Operator, max: usize) -> Vec<Row> {
-    op.open().unwrap();
-    let mut rows = Vec::new();
-    while let Some(batch) = op.next_batch(max).unwrap() {
-        assert!(!batch.is_empty(), "empty batch violates the protocol");
-        assert!(batch.len() <= max, "batch exceeds max");
-        rows.extend(batch.into_rows());
-    }
-    assert!(op.next_batch(max).unwrap().is_none(), "None must be sticky");
-    op.close().unwrap();
-    rows
-}
 
 /// Drain an operator through `next_columns(max)` only, checking the
 /// columnar batch contract.
@@ -47,18 +33,13 @@ fn collect_columnar(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     rows
 }
 
-/// Drain an operator rotating `next()`, `next_batch(max)` and
-/// `next_columns(max)` calls — all three protocols share one stream and
-/// must compose.
+/// Drain an operator alternating `next()` and `next_columns(max)`
+/// calls — both protocols share one stream and must compose.
 fn collect_interleaved(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     op.open().unwrap();
     let mut rows = Vec::new();
     'outer: while let Some(row) = op.next().unwrap() {
         rows.push(row);
-        match op.next_batch(max).unwrap() {
-            Some(batch) => rows.extend(batch.into_rows()),
-            None => break 'outer,
-        }
         match op.next_columns(max).unwrap() {
             Some(batch) => rows.extend(batch.into_rows()),
             None => break 'outer,
@@ -68,12 +49,10 @@ fn collect_interleaved(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     rows
 }
 
-/// The protocol-equivalence obligation: row-at-a-time, batched, columnar
-/// and interleaved drains of (reopenable) `op` yield the identical
-/// sequence.
+/// The protocol-equivalence obligation: row-at-a-time, columnar and
+/// interleaved drains of (reopenable) `op` yield the identical sequence.
 fn assert_protocols_equivalent(op: &mut dyn Operator, max: usize) {
     let volcano = collect_rows_volcano(op).unwrap();
-    assert_eq!(collect_batched(op, max), volcano, "batched ≠ row-at-a-time (max={max})");
     assert_eq!(collect_columnar(op, max), volcano, "columnar ≠ row-at-a-time (max={max})");
     assert_eq!(collect_interleaved(op, max), volcano, "interleaved ≠ row-at-a-time (max={max})");
 }
@@ -224,7 +203,7 @@ proptest! {
         prop_assert_eq!(canonical(collect_rows(&mut ss).unwrap()), expected);
     }
 
-    /// `next_batch` ≡ `next` for every access path, for arbitrary data,
+    /// `next_columns` ≡ `next` for every access path, for arbitrary data,
     /// ranges, residuals and batch sizes.
     #[test]
     fn scan_batch_protocol_equals_row_protocol(
@@ -284,7 +263,7 @@ proptest! {
         }
     }
 
-    /// `next_batch` ≡ `next` for the relational operators (filter,
+    /// `next_columns` ≡ `next` for the relational operators (filter,
     /// projection, sort, aggregation, all joins) over arbitrary inputs.
     #[test]
     fn relational_batch_protocol_equals_row_protocol(

@@ -16,12 +16,12 @@ use smooth_executor::parallel::{
 };
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
-    batch_size, collect_rows, AggFunc, Filter, FullTableScan, HashAggregate, HashJoin, IndexScan,
-    JoinType, Operator, Predicate, Project, SortScan,
+    collect_rows, AggFunc, Filter, FullTableScan, HashAggregate, HashJoin, IndexScan, JoinType,
+    Operator, Predicate, Project, SortScan,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, Storage, StorageConfig};
-use smooth_types::{Column, DataType, Row, Schema, Value};
+use smooth_types::{Column, DataType, Row, Schema, Value, DEFAULT_BATCH_SIZE};
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
@@ -123,7 +123,7 @@ proptest! {
                 stages: vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
-                morsel_rows: batch_size(),
+                morsel_rows: DEFAULT_BATCH_SIZE,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -163,7 +163,7 @@ proptest! {
                 stages: Vec::new(),
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
-                morsel_rows: batch_size(),
+                morsel_rows: DEFAULT_BATCH_SIZE,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -283,7 +283,7 @@ proptest! {
                 stages: vec![StageSpec::Probe(0)],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
-                morsel_rows: batch_size(),
+                morsel_rows: DEFAULT_BATCH_SIZE,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -342,7 +342,7 @@ proptest! {
                     merge_exact: true,
                 },
                 storage: s_par.clone(),
-                morsel_rows: batch_size(),
+                morsel_rows: DEFAULT_BATCH_SIZE,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(

@@ -20,7 +20,7 @@ use smooth_executor::{
     collect_rows, FullTableScan, HashJoin, JoinType, Predicate, BUILD_PARTITIONS,
 };
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
-use smooth_types::{Column, DataType, Row, Schema, Value};
+use smooth_types::{Column, DataType, Row, Schema, Value, DEFAULT_BATCH_SIZE};
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
@@ -206,7 +206,7 @@ proptest! {
                 stages: vec![StageSpec::Probe(0)],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
-                morsel_rows: smooth_executor::batch_size(),
+                morsel_rows: DEFAULT_BATCH_SIZE,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -267,7 +267,7 @@ proptest! {
                 stages: vec![StageSpec::Probe(0)],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
-                morsel_rows: smooth_executor::batch_size(),
+                morsel_rows: DEFAULT_BATCH_SIZE,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(

@@ -10,8 +10,8 @@
 //! Queries execute through the columnar pipeline: `run_batches` /
 //! `run_operator_batches` drain the operator tree with
 //! [`collect_batches`], which requests [`smooth_types::ColumnBatch`]es
-//! of `smooth_executor::batch_size()` rows (the `SMOOTH_BATCH_ROWS`
-//! knob) per virtual call rather than one tuple at a time, and the
+//! of [`DEFAULT_BATCH_SIZE`] rows per virtual call rather than one tuple
+//! at a time, and the
 //! result stays columnar — text columns keep their zero-copy views into
 //! pinned heap pages. `Row`s materialize only when a caller crosses the
 //! user-facing boundary ([`BatchResult::into_rows`], or the
@@ -43,17 +43,17 @@ use smooth_core::{SmoothScan, SmoothScanConfig, SwitchScan};
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
-    batch_size, collect_batches, BoxedOperator, BuildSpec, Filter, FullTableScan, HashAggregate,
-    HashJoin, IndexNestedLoopJoin, IndexScan, MergeJoin, NestedLoopJoin, Operator,
-    ParallelPipeline, ParallelSource, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort,
-    SortScan, StageSpec,
+    collect_batches, BoxedOperator, BuildSpec, Filter, FullTableScan, HashAggregate, HashJoin,
+    IndexNestedLoopJoin, IndexScan, MergeJoin, NestedLoopJoin, Operator, ParallelPipeline,
+    ParallelSource, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan,
+    StageSpec,
 };
 use smooth_stats::StatsQuality;
 use smooth_storage::{
     tap_mark, ClockSnapshot, FaultConfig, HeapLoader, IoStatsDelta, ScanStatistics, Storage,
     StorageConfig,
 };
-use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
+use smooth_types::{ColumnBatch, Error, Result, Row, Schema, DEFAULT_BATCH_SIZE};
 
 use crate::catalog::{Catalog, TableEntry};
 use crate::optimizer::{AccessPathKind, Optimizer};
@@ -143,7 +143,7 @@ impl BatchResult {
 
 /// Worker-pool width used by [`Database::run`] when none is set on the
 /// instance: the `SMOOTH_WORKERS` environment variable (minimum 1, read
-/// **once per process** and latched, like `SMOOTH_BATCH_ROWS`), else the
+/// **once per process** and latched), else the
 /// number of available cores.
 pub fn default_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
@@ -741,7 +741,7 @@ impl Database {
             stages,
             sink,
             storage: self.storage.clone(),
-            morsel_rows: batch_size(),
+            morsel_rows: DEFAULT_BATCH_SIZE,
         }))
     }
 
@@ -792,7 +792,7 @@ impl Database {
             stages: Vec::new(),
             sink: SinkSpec::Sort { keys: vec![SortKey::asc(col)], mem_bytes: self.mem_bytes() },
             storage: self.storage.clone(),
-            morsel_rows: batch_size(),
+            morsel_rows: DEFAULT_BATCH_SIZE,
         }))
     }
 
@@ -1133,7 +1133,7 @@ impl Database {
                     stages: Vec::new(),
                     sink: SinkSpec::Collect,
                     storage: self.storage.clone(),
-                    morsel_rows: batch_size(),
+                    morsel_rows: DEFAULT_BATCH_SIZE,
                 }
             }
         };

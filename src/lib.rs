@@ -70,5 +70,5 @@ pub mod prelude {
     };
     pub use smooth_stats::StatsQuality;
     pub use smooth_storage::{CpuCosts, DeviceProfile, FaultConfig, Storage, StorageConfig};
-    pub use smooth_types::{Column, ColumnBatch, DataType, Error, Row, RowBatch, Schema, Value};
+    pub use smooth_types::{Column, ColumnBatch, DataType, Error, Row, Schema, Value};
 }

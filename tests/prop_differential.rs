@@ -2,13 +2,13 @@
 //! plans — scan kind × predicates × join shapes × aggregates ×
 //! Smooth/Switch policies — must produce the **exact row sequence**,
 //! the **exact virtual CPU/IO clock totals** and the **exact I/O
-//! counters** across all three pipeline drivers:
+//! counters** across the three pipeline drivers:
 //!
 //! * the Volcano row-at-a-time driver (the permanent semantics oracle),
 //! * the single-threaded columnar driver (`Database::run` at 1 worker),
 //! * the morsel-driven parallel driver at worker counts {1, 2, 4, 8}.
 //!
-//! Every execution strategy in this repo — batching, columnar layout,
+//! Every execution strategy in this repo — columnar layout,
 //! worker pools, the partitioned parallel hash-join build — is required
 //! to be *accounting-invisible*: it may change who does the work, never
 //! what work the engine is charged for. This suite pins that invariant
@@ -231,16 +231,24 @@ fn run_budgeted(plan: &LogicalPlan, workers: usize, budget: usize) -> QueryResul
     db.run(plan).expect("driver run")
 }
 
-/// [`run_with_workers`] with a forced per-claim chunk size
+/// [`run_budgeted`] with a forced per-claim chunk size
 /// (`Database::set_claim_morsels`): small chunks at high worker counts
 /// drain the source early and force the work-stealing path, large
 /// chunks pile morsels onto few queues and force steals from the back.
-fn run_chunked(plan: &LogicalPlan, workers: usize, claim: usize) -> QueryResult {
+/// The budget is explicit so the oracle it is compared against runs
+/// under the same one whatever `SMOOTH_MEM_BYTES` says.
+fn run_chunked(plan: &LogicalPlan, workers: usize, claim: usize, budget: usize) -> QueryResult {
     let mut db = database(900);
     db.set_workers(workers);
     db.set_claim_morsels(claim);
+    db.set_mem_bytes(budget);
     db.run(plan).expect("driver run")
 }
+
+/// Per-operator memory budgets the fixed-plan differential tests sweep
+/// in-process: unlimited, one that spills every build and sort, and the
+/// spill-forcing budget of the CI leg.
+const BUDGET_GRID: [usize; 3] = [0, 512, 16384];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -418,7 +426,7 @@ proptest! {
         let context = format!("{access:?} lo={lo} width={width} {join:?} {agg:?} claim={claim}");
         let volcano = run_volcano(&plan);
         for workers in WORKER_GRID {
-            let parallel = run_chunked(&plan, workers, claim);
+            let parallel = run_chunked(&plan, workers, claim, 0);
             prop_assert!(
                 parallel.rows == volcano.rows,
                 "chunked rows diverge at {workers} workers: {context}"
@@ -441,7 +449,8 @@ proptest! {
 /// `ordered:` heap-range scans no longer take the serial shared-source
 /// fallback: the planner lowers them to the partitioned heap source
 /// with a `Sort` sink, and rows/clock/IO equal the serial drivers at
-/// every worker count and chunk size (guided and forced).
+/// every worker count, chunk size (guided and forced) and memory budget
+/// (the sink's sort spills exactly like the serial `Sort`).
 #[test]
 fn ordered_scans_parallelize_with_sort_sink() {
     let plan = LogicalPlan::scan(
@@ -463,21 +472,24 @@ fn ordered_scans_parallelize_with_sort_sink() {
         "ordered scan must merge through the charged sort sink"
     );
 
-    let volcano = run_volcano(&plan);
-    for workers in WORKER_GRID {
-        for claim in [0usize, 1, 3] {
-            let got = run_chunked(&plan, workers, claim);
-            assert_eq!(got.rows, volcano.rows, "rows diverge at {workers}w claim={claim}");
-            assert_eq!(
-                (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-                (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-                "clock diverges at {workers}w claim={claim}"
-            );
-            assert_eq!(
-                io_key(&got.stats.io),
-                io_key(&volcano.stats.io),
-                "I/O diverges at {workers}w claim={claim}"
-            );
+    for budget in BUDGET_GRID {
+        let volcano = run_volcano_budgeted(&plan, budget);
+        for workers in WORKER_GRID {
+            for claim in [0usize, 1, 3] {
+                let at = format!("{workers}w claim={claim} budget={budget}");
+                let got = run_chunked(&plan, workers, claim, budget);
+                assert_eq!(got.rows, volcano.rows, "rows diverge at {at}");
+                assert_eq!(
+                    (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
+                    (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
+                    "clock diverges at {at}"
+                );
+                assert_eq!(
+                    io_key(&got.stats.io),
+                    io_key(&volcano.stats.io),
+                    "I/O diverges at {at}"
+                );
+            }
         }
     }
 }
@@ -645,7 +657,7 @@ fn text_heavy_spill_legs_agree_under_views() {
 /// Bushy trees: a hash join whose build side is itself a hash join
 /// resolves its nested probe stage inside the build pipeline and
 /// parallelizes end to end, byte- and charge-identical to the serial
-/// drivers.
+/// drivers at every memory budget (grace partitions spill alike).
 #[test]
 fn bushy_hash_joins_agree_across_drivers() {
     let inner = LogicalPlan::scan(ScanSpec::new("r", Predicate::int_lt(2, 250))).join(
@@ -658,21 +670,24 @@ fn bushy_hash_joins_agree_across_drivers() {
     let plan = LogicalPlan::scan(ScanSpec::new("t", Predicate::int_half_open(1, 30, 30 + 200)))
         .join(inner, 1, 0, JoinType::Inner, JoinStrategy::Hash);
 
-    let volcano = run_volcano(&plan);
-    for workers in WORKER_GRID {
-        for claim in [0usize, 1] {
-            let got = run_chunked(&plan, workers, claim);
-            assert_eq!(got.rows, volcano.rows, "bushy rows diverge at {workers}w claim={claim}");
-            assert_eq!(
-                (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-                (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-                "bushy clock diverges at {workers}w claim={claim}"
-            );
-            assert_eq!(
-                io_key(&got.stats.io),
-                io_key(&volcano.stats.io),
-                "bushy I/O diverges at {workers}w claim={claim}"
-            );
+    for budget in BUDGET_GRID {
+        let volcano = run_volcano_budgeted(&plan, budget);
+        for workers in WORKER_GRID {
+            for claim in [0usize, 1] {
+                let at = format!("{workers}w claim={claim} budget={budget}");
+                let got = run_chunked(&plan, workers, claim, budget);
+                assert_eq!(got.rows, volcano.rows, "bushy rows diverge at {at}");
+                assert_eq!(
+                    (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
+                    (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
+                    "bushy clock diverges at {at}"
+                );
+                assert_eq!(
+                    io_key(&got.stats.io),
+                    io_key(&volcano.stats.io),
+                    "bushy I/O diverges at {at}"
+                );
+            }
         }
     }
 }
