@@ -1,144 +1,19 @@
-//! Vectorized (row-batch) vs Volcano execution on the micro-benchmark
-//! table.
+//! Protocol-agreement check for the vectorized batch protocol on the
+//! micro-benchmark table shape.
 //!
-//! Not a paper figure: this experiment records the engine's own execution
-//! overhead. It drives the identical `FullTableScan` over the identical
-//! data through the row-at-a-time protocol (`collect_rows_volcano`) and
-//! the row-major batch protocol (`collect_rows_batch`), reporting
-//! wall-clock throughput and the speedup.
-//!
-//! Historical note: PR 2 gated a ≥1.5× floor on this ratio, back when the
-//! Volcano path decoded and filtered tuple-at-a-time. The columnar data
-//! plane moved the page fill (encoded-tuple probe + decode into column
-//! vectors) *underneath all three protocols*, which made the Volcano
-//! driver itself ~1.8× faster and collapsed this ratio toward 1 — the
-//! Volcano tax is now paid only at the driver boundary. The ratio stays
-//! reported for the record; the enforced wall-clock floor lives in the
-//! sibling `columnar` experiment (columnar vs row-batch driver). The
-//! deterministic virtual-clock times for the four access paths remain the
-//! gated cross-machine trajectory numbers.
+//! Test-only: the wall-clock comparison of the vectorized path against
+//! the Volcano driver is measured by the `columnar` experiment. This
+//! module pins the batch-native sink (`collect_batches`, the driver
+//! `Database::run_batches` builds on) against the row-at-a-time Volcano
+//! reference on a pushed-predicate `FullTableScan`.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use smooth_core::SmoothScanConfig;
-use smooth_executor::{collect_rows_batch, collect_rows_volcano, FullTableScan};
-use smooth_planner::AccessPathChoice;
-use smooth_storage::DeviceProfile;
-use smooth_workload::micro;
-
-use crate::report::{json_metric, Metric, Report};
-use crate::setup;
-
-/// Timed runs per measurement; the best (minimum) is reported to shave
-/// scheduler noise on shared CI runners. Smoke-scale scans take only a
-/// few milliseconds each, so the minimum over several runs (plus one
-/// untimed warmup) is what keeps the gated speedup ratio stable.
-pub(crate) const RUNS: usize = 5;
-
-pub(crate) fn best_wall_secs(mut run: impl FnMut() -> usize) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut rows = run(); // warmup: pool and allocator in steady state
-    for _ in 0..RUNS {
-        let t = Instant::now();
-        rows = run();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (best, rows)
-}
-
-/// Run the protocol comparison and record the perf-smoke metrics.
-pub fn run() {
-    let db = setup::micro_db(DeviceProfile::hdd());
-    let heap = Arc::clone(&db.table(micro::TABLE).expect("micro installed").heap);
-    let storage = db.storage().clone();
-    let rows_total = heap.tuple_count() as f64;
-
-    let mut wall = Report::new(
-        "batch",
-        format!("Volcano vs row-batch FullTableScan (wall clock, best of {RUNS})"),
-        &["sel_pct", "rows_out", "volcano_krows_s", "batch_krows_s", "speedup"],
-    );
-    for sel in [0.1, 1.0] {
-        let pred = micro::predicate(sel);
-        let (volcano_s, n_volcano) = best_wall_secs(|| {
-            let mut op = FullTableScan::new(Arc::clone(&heap), storage.clone(), pred.clone());
-            collect_rows_volcano(&mut op).expect("volcano scan").len()
-        });
-        let (batch_s, n_batch) = best_wall_secs(|| {
-            let mut op = FullTableScan::new(Arc::clone(&heap), storage.clone(), pred.clone());
-            collect_rows_batch(&mut op).expect("batch scan").len()
-        });
-        assert_eq!(n_volcano, n_batch, "protocols must agree on the result set");
-        let speedup = volcano_s / batch_s.max(1e-12);
-        let tag = format!("sel{}", (sel * 100.0) as u32);
-        wall.row(vec![
-            format!("{}", sel * 100.0),
-            n_batch.to_string(),
-            format!("{:.0}", rows_total / volcano_s.max(1e-12) / 1e3),
-            format!("{:.0}", rows_total / batch_s.max(1e-12) / 1e3),
-            Report::factor(speedup),
-        ]);
-        // Informational: the shared columnar fill collapsed this ratio
-        // toward 1 (see the module docs); the enforced wall-clock floor is
-        // the columnar experiment's.
-        json_metric(Metric::info(format!("batch.fullscan.{tag}.speedup"), speedup, "x", true));
-        json_metric(Metric::info(
-            format!("batch.fullscan.{tag}.volcano_krows_s"),
-            rows_total / volcano_s.max(1e-12) / 1e3,
-            "krows_per_s",
-            true,
-        ));
-        json_metric(Metric::info(
-            format!("batch.fullscan.{tag}.batch_krows_s"),
-            rows_total / batch_s.max(1e-12) / 1e3,
-            "krows_per_s",
-            true,
-        ));
-    }
-    wall.finish();
-
-    // Deterministic virtual-clock trajectory: the four access paths on the
-    // 10%-selectivity micro query, executed through the default (columnar)
-    // pipeline driver. The `columnar` experiment asserts these totals are
-    // byte-for-byte identical under the row-batch driver.
-    let mut virt = Report::new(
-        "batch_virtual",
-        "Access paths at 10% selectivity (virtual s, columnar pipeline)",
-        &["path", "virtual_s", "cpu_s", "io_s"],
-    );
-    let paths: [(&str, AccessPathChoice); 4] = [
-        ("full", AccessPathChoice::ForceFull),
-        ("index", AccessPathChoice::ForceIndex),
-        ("sort", AccessPathChoice::ForceSort),
-        ("smooth", AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic())),
-    ];
-    for (name, access) in paths {
-        let stats = db.run(&micro::query(0.1, false, access)).expect("micro query").stats;
-        virt.row(vec![
-            name.to_string(),
-            Report::secs(stats.secs()),
-            Report::secs(stats.clock.cpu_ns as f64 / 1e9),
-            Report::secs(stats.clock.io_ns as f64 / 1e9),
-        ]);
-        json_metric(Metric::gated(
-            format!("virtual.micro.sel10.{name}.secs"),
-            stats.secs(),
-            "virtual_s",
-            false,
-        ));
-    }
-    virt.finish();
-}
-
-/// Quick self-check used by the test suite: the two protocols agree on a
-/// small table and the batched path is not slower by construction.
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use smooth_executor::Predicate;
+    use std::sync::Arc;
+
+    use smooth_executor::{collect_batches, collect_rows_volcano, FullTableScan, Predicate};
     use smooth_storage::{HeapLoader, Storage};
-    use smooth_types::{Column, DataType, Row, Schema, Value};
+    use smooth_types::{Column, ColumnBatch, DataType, Row, Schema, Value, DEFAULT_BATCH_SIZE};
 
     #[test]
     fn protocols_agree_on_micro_shaped_data() {
@@ -152,10 +27,17 @@ mod tests {
             l.push(&Row::new(vec![Value::Int(i), Value::Int(i % 100)])).unwrap();
         }
         let heap = Arc::new(l.finish().unwrap());
-        let s = Storage::default_hdd();
         let pred = Predicate::int_half_open(1, 0, 10);
-        let mut a = FullTableScan::new(Arc::clone(&heap), s.clone(), pred.clone());
-        let mut b = FullTableScan::new(heap, s, pred);
-        assert_eq!(collect_rows_volcano(&mut a).unwrap(), collect_rows_batch(&mut b).unwrap());
+        let s1 = Storage::default_hdd();
+        let mut a = FullTableScan::new(Arc::clone(&heap), s1.clone(), pred.clone());
+        let s2 = Storage::default_hdd();
+        let mut b = FullTableScan::new(heap, s2.clone(), pred);
+        let volcano = collect_rows_volcano(&mut a).unwrap();
+        let batches = collect_batches(&mut b).unwrap();
+        assert!(batches.iter().all(|batch| batch.len() <= DEFAULT_BATCH_SIZE));
+        let rows: Vec<Row> = batches.into_iter().flat_map(ColumnBatch::into_rows).collect();
+        assert_eq!(volcano, rows);
+        assert_eq!(rows.len(), 500);
+        assert_eq!(s1.clock().snapshot(), s2.clock().snapshot());
     }
 }

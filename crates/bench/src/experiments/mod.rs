@@ -1,6 +1,7 @@
 //! One module per paper artifact. See DESIGN.md §3 for the experiment
 //! index mapping each module to its figure/table, workload and parameters.
 
+mod batch;
 pub mod columnar;
 pub mod costmodel;
 pub mod cr;
