@@ -23,7 +23,7 @@ use std::sync::Arc;
 use smooth_executor::{Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid, Value};
+use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid};
 
 use crate::cost_model::{CostModel, TableGeometry};
 use crate::page_cache::PageIdCache;
@@ -94,7 +94,7 @@ impl SmoothScanConfig {
 }
 
 /// Counters exposed after execution (Figs. 6–9 are plotted from these).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmoothScanMetrics {
     /// Rows returned to the parent operator.
     pub tuples_emitted: u64,
@@ -151,10 +151,12 @@ pub struct SmoothScan {
     policy: MorphPolicy,
     traditional_until: Option<u64>,
     /// Pending output: a columnar FIFO both iterator protocols drain.
-    /// Unordered morphing regions decode their qualifiers straight into
-    /// it (no per-row materialization); Mode-0 tuples, Result-Cache hits
-    /// and ordered driving tuples append row-wise.
+    /// Morphing regions, ordered driving tuples and Result-Cache hits all
+    /// decode encoded tuples straight into it (no per-row
+    /// materialization); only Mode-0 tuples append row-wise.
     out: ColumnBuffer,
+    /// Per-page `(tuple, key)` scratch of the ordered region loop.
+    qualifiers: Vec<(usize, i64)>,
     metrics: SmoothScanMetrics,
 }
 
@@ -202,6 +204,7 @@ impl SmoothScan {
             policy: MorphPolicy::new(config.policy, config.max_region_pages),
             traditional_until: None,
             out,
+            qualifiers: Vec::new(),
             metrics: SmoothScanMetrics::default(),
         }
     }
@@ -220,18 +223,11 @@ impl SmoothScan {
         &self.model
     }
 
-    fn key_of(&self, row: &Row) -> Result<i64> {
-        match row.get(self.key_col) {
-            Value::Int(k) => Ok(*k),
-            other => Err(smooth_types::Error::exec(format!("non-integer index key {other}"))),
-        }
-    }
-
     /// Process all unvisited pages of the region `[start, start+len)`:
     /// mark them visited, collect qualifying tuples, update the policy.
-    /// In ordered mode the driving tuple (if it qualifies) is returned and
-    /// other finds go to the Result Cache; in unordered mode everything is
-    /// queued in the columnar output buffer.
+    /// In ordered mode the driving tuple (if it qualifies) is queued in
+    /// the columnar output buffer and other finds go to the Result Cache;
+    /// in unordered mode everything is queued in the output buffer.
     ///
     /// Region processing is vectorized: the predicate is probed on the
     /// encoded tuples (only the key/residual columns are decoded for
@@ -239,13 +235,14 @@ impl SmoothScan {
     /// rather than per tuple, with totals identical to the per-tuple
     /// accounting. In unordered mode the qualifiers additionally decode
     /// *straight into column vectors* — the whole morphing region becomes
-    /// a columnar morsel without a single `Row` materializing. Ordered
-    /// mode stays row-wise (the Result Cache stores rows keyed by
-    /// `(key, tid)`), with identical clock totals either way.
-    fn process_region(&mut self, driving: Tid, len: u32) -> Result<Option<Row>> {
+    /// a columnar morsel without a single `Row` materializing. In ordered
+    /// mode the driving tuple decodes straight into the output buffer and
+    /// every other qualifier parks in the Result Cache as encoded bytes
+    /// under its `(key, tid)`, to be decoded once when the cursor gets
+    /// there — no `Row` either way, with identical clock totals.
+    fn process_region(&mut self, driving: Tid, len: u32) -> Result<()> {
         let end = (driving.page.0 + len).min(self.heap.page_count());
         let cpu = *self.storage.cpu();
-        let mut driving_row = None;
         let mut pages_processed = 0u64;
         let mut pages_with_results = 0u64;
         let mut p = driving.page.0;
@@ -260,71 +257,49 @@ impl SmoothScan {
             self.storage.charge_page_probes(run as u64);
             for (pid, buf) in &pages {
                 self.page_cache.insert(*pid);
-                let had_result;
                 let view = PageView::new(buf)?;
                 let mut bitmap_ops = 0u64;
-                if self.config.ordered {
-                    let mut inspected = 0u64;
-                    let mut emitted = 0u64;
-                    let mut any = false;
-                    for slot in 0..view.slot_count() {
-                        let tid = Tid { page: *pid, slot };
-                        if let Some(tc) = &self.tuple_cache {
-                            bitmap_ops += 1;
-                            if tc.contains(tid) {
-                                continue; // already produced by Mode 0
-                            }
-                        }
-                        inspected += 1;
-                        let bytes = view.get(slot)?;
-                        let Some(row) = self.filter.filter_decode(self.heap.schema(), bytes)?
-                        else {
-                            continue;
-                        };
-                        any = true;
-                        emitted += 1;
-                        if tid == driving {
-                            driving_row = Some(row);
-                        } else {
-                            let key = self.key_of(&row)?;
-                            self.result_cache
-                                .as_mut()
-                                .expect("ordered mode has a result cache")
-                                .insert(&self.storage, key, tid, row);
+                let mut slots = Vec::with_capacity(view.slot_count() as usize);
+                let mut tuples: Vec<&[u8]> = Vec::with_capacity(view.slot_count() as usize);
+                for slot in 0..view.slot_count() {
+                    if let Some(tc) = &self.tuple_cache {
+                        bitmap_ops += 1;
+                        if tc.contains(Tid { page: *pid, slot }) {
+                            continue; // already produced by Mode 0
                         }
                     }
-                    had_result = any;
-                    self.storage.clock().charge_cpu(
-                        cpu.bitmap_op_ns * bitmap_ops
-                            + cpu.inspect_tuple_ns * inspected
-                            + cpu.emit_tuple_ns * emitted,
-                    );
-                } else {
-                    let mut tuples: Vec<&[u8]> = Vec::with_capacity(view.slot_count() as usize);
-                    for slot in 0..view.slot_count() {
-                        if let Some(tc) = &self.tuple_cache {
-                            bitmap_ops += 1;
-                            if tc.contains(Tid { page: *pid, slot }) {
-                                continue; // already produced by Mode 0
-                            }
-                        }
-                        tuples.push(view.get(slot)?);
-                    }
-                    let (inspected, emitted) = self.filter.fill_columns(
-                        self.heap.schema(),
-                        &tuples,
-                        Some(buf),
-                        self.out.fill(),
-                    )?;
-                    had_result = emitted > 0;
-                    self.storage.clock().charge_cpu(
-                        cpu.bitmap_op_ns * bitmap_ops
-                            + cpu.inspect_tuple_ns * inspected
-                            + cpu.emit_tuple_ns * emitted,
-                    );
+                    slots.push(slot);
+                    tuples.push(view.get(slot)?);
                 }
+                let schema = self.heap.schema();
+                let (inspected, emitted) = if self.config.ordered {
+                    let counts = self.filter.qualify_keys(
+                        schema,
+                        &tuples,
+                        self.key_col,
+                        &mut self.qualifiers,
+                    )?;
+                    let cache =
+                        self.result_cache.as_mut().expect("ordered mode has a result cache");
+                    for &(i, key) in &self.qualifiers {
+                        let tid = Tid { page: *pid, slot: slots[i] };
+                        if tid == driving {
+                            self.out.fill().push_tuple_backed(schema, tuples[i], Some(buf))?;
+                        } else {
+                            cache.insert(&self.storage, key, tid, tuples[i]);
+                        }
+                    }
+                    counts
+                } else {
+                    self.filter.fill_columns(schema, &tuples, Some(buf), self.out.fill())?
+                };
+                self.storage.clock().charge_cpu(
+                    cpu.bitmap_op_ns * bitmap_ops
+                        + cpu.inspect_tuple_ns * inspected
+                        + cpu.emit_tuple_ns * emitted,
+                );
                 pages_processed += 1;
-                if had_result {
+                if emitted > 0 {
                     pages_with_results += 1;
                 }
             }
@@ -343,7 +318,7 @@ impl SmoothScan {
             }
             self.policy.observe_region(pages_processed, pages_with_results);
         }
-        Ok(driving_row)
+        Ok(())
     }
 
     /// Advance the driving cursor by one probe. Any rows this produces —
@@ -374,13 +349,9 @@ impl SmoothScan {
         }
         // Smooth phase.
         if self.config.ordered {
-            let cached = self
-                .result_cache
-                .as_mut()
-                .expect("ordered mode has a result cache")
-                .probe(&self.storage, key, tid);
-            if let Some(row) = cached {
-                self.out.fill().push_owned_row(row)?;
+            let cache = self.result_cache.as_mut().expect("ordered mode has a result cache");
+            if let Some(bytes) = cache.probe(&self.storage, key, tid) {
+                self.out.fill().push_tuple(self.heap.schema(), bytes)?;
                 return Ok(true);
             }
         }
@@ -391,9 +362,7 @@ impl SmoothScan {
             return Ok(true);
         }
         let region = self.policy.region_pages();
-        if let Some(row) = self.process_region(tid, region)? {
-            self.out.fill().push_owned_row(row)?;
-        }
+        self.process_region(tid, region)?;
         Ok(true)
     }
 
@@ -521,8 +490,10 @@ impl Operator for SmoothScan {
 mod tests {
     use super::*;
     use smooth_executor::collect_rows;
-    use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, StorageConfig};
-    use smooth_types::{Column, DataType, Schema};
+    use smooth_storage::{
+        ClockSnapshot, CpuCosts, DeviceProfile, HeapLoader, IoSnapshot, StorageConfig,
+    };
+    use smooth_types::{Column, DataType, Schema, Value};
 
     /// A micro-benchmark-shaped table: c0 = row number, c1 pseudo-random
     /// in [0, 1000), pad to make tuples non-trivial.
@@ -833,6 +804,114 @@ mod tests {
         assert_eq!(col_rows, volcano_rows, "columnar rows");
         assert_eq!(col_clock, volcano_clock, "columnar clock with spill enabled");
         assert_eq!(col_io, volcano_io);
+    }
+
+    #[test]
+    fn ordered_accounting_is_pinned() {
+        // Clock, I/O, Result-Cache and morphing counters of three ordered
+        // scans, recorded as literals: a change to how the Result Cache
+        // stores or returns tuples must leave every one of them as is.
+        let (heap, index) = table(3000);
+        let run = |residual: Predicate, cfg: SmoothScanConfig| {
+            let s = storage(64);
+            let mut ss = SmoothScan::new(
+                Arc::clone(&heap),
+                Arc::clone(&index),
+                s.clone(),
+                1,
+                Bound::Included(0),
+                Bound::Excluded(800),
+                residual,
+                cfg,
+            );
+            let rows = collect_rows(&mut ss).unwrap();
+            (rows.len(), s.clock().snapshot(), s.io_snapshot(), ss.metrics())
+        };
+        let ordered = SmoothScanConfig::default().with_order(true);
+        let mut spilling = ordered;
+        spilling.result_cache_spill = Some(50);
+        let optimizer = ordered.with_trigger(Trigger::OptimizerDriven {
+            estimated_cardinality: 100,
+            policy: PolicyKind::SelectivityIncrease,
+        });
+        let io = |io_requests, pages_read, seq_pages, rand_pages, buffer_hits| IoSnapshot {
+            io_requests,
+            pages_read,
+            seq_pages,
+            rand_pages,
+            distinct_pages: 31,
+            buffer_hits,
+        };
+        let morphing = SmoothScanMetrics {
+            tuples_emitted: 2400,
+            regions: 9,
+            mode1_pages: 1,
+            mode2_pages: 23,
+            pages_fetched: 24,
+            pages_with_results: 24,
+            max_region_pages: 256,
+            cache: ResultCacheStats {
+                inserts: 2391,
+                requests: 2400,
+                hits: 2391,
+                evicted: 2391,
+                max_resident: 2391,
+                ..ResultCacheStats::default()
+            },
+            ..SmoothScanMetrics::default()
+        };
+        assert_eq!(
+            run(Predicate::True, ordered),
+            (
+                2400,
+                ClockSnapshot { cpu_ns: 1_070_130, io_ns: 148 },
+                io(18, 31, 18, 13, 0),
+                morphing
+            )
+        );
+        let spilled = SmoothScanMetrics {
+            cache: ResultCacheStats {
+                max_resident: 1278,
+                spilled: 4248,
+                unspilled: 4248,
+                ..morphing.cache
+            },
+            ..morphing
+        };
+        assert_eq!(
+            run(Predicate::True, spilling),
+            (
+                2400,
+                ClockSnapshot { cpu_ns: 1_070_130, io_ns: 23_104 },
+                io(18, 31, 18, 13, 0),
+                spilled
+            )
+        );
+        let triggered = SmoothScanMetrics {
+            tuples_emitted: 1999,
+            mode0_tuples: 100,
+            pages_with_results: 20,
+            max_region_pages: 64,
+            triggered: true,
+            cache: ResultCacheStats {
+                inserts: 1891,
+                requests: 2279,
+                hits: 1891,
+                evicted: 1891,
+                max_resident: 1891,
+                ..ResultCacheStats::default()
+            },
+            ..morphing
+        };
+        assert_eq!(
+            run(Predicate::int_lt(0, 2500), optimizer),
+            (
+                1999,
+                ClockSnapshot { cpu_ns: 947_430, io_ns: 274 },
+                io(31, 31, 4, 27, 121),
+                triggered
+            )
+        );
     }
 
     #[test]

@@ -19,11 +19,26 @@
 //! * under memory pressure, partitions whose key ranges are furthest from
 //!   the cursor spill to overflow files and are charged sequential I/O to
 //!   write and later re-read.
+//!
+//! Tuples are held **encoded**, late-materialized: each partition appends
+//! the heap bytes of its tuples to one arena, indexed by `(key, tid)`, so
+//! parking a tuple builds no `Row` and pins no pool page. The cursor
+//! reaches every cached `(key, tid)` exactly once, so a hit **takes** the
+//! tuple: [`ResultCache::probe`] unlinks the entry and hands back its
+//! bytes, which the scan decodes once, straight into its output batch.
+//! The bytes themselves stay in the arena until the partition is dropped.
+//!
+//! Residency is **logical**: a partition counts every tuple inserted into
+//! it until bulk eviction, hit or not — exactly as a cache that keeps its
+//! hits until eviction would. Eviction, spill and unspill sizes, the spill
+//! victim choice and every [`ResultCacheStats`] field are computed from
+//! that count, so a take-on-hit never changes a charge or a counter.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use smooth_storage::Storage;
-use smooth_types::{Row, Tid};
+use smooth_types::Tid;
 
 /// Counters reported by Fig. 9a.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,15 +61,51 @@ pub struct ResultCacheStats {
     pub unspilled: u64,
 }
 
+/// Multiplicative (Fx-style) hasher for the `(key, tid)` index, hashed
+/// once per parked tuple and once per cursor probe. TIDs are assigned by
+/// the engine; the keys are a loaded table's index keys, so this trades
+/// SipHash's resistance to deliberately colliding key sets for a cheaper
+/// hash on the per-tuple path.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 #[derive(Debug, Default)]
 struct Partition {
-    rows: HashMap<(i64, Tid), Row>,
+    /// Encoded tuples, appended in insertion order.
+    arena: Vec<u8>,
+    /// `(key, tid)` → `(offset, len)` in `arena`, for tuples not yet taken.
+    index: HashMap<(i64, Tid), (usize, usize), BuildHasherDefault<KeyHasher>>,
+    /// Logical residency: tuples inserted since the partition was created,
+    /// taken or not (see the module docs).
+    live: u64,
     /// Spilled to an overflow file: contents kept (simulated file), but
     /// access requires a charged re-read.
     spilled: bool,
 }
 
-/// Key-range-partitioned cache of rows found ahead of the cursor.
+/// Key-range-partitioned cache of encoded tuples found ahead of the cursor.
 pub struct ResultCache {
     /// `bounds[i]` is the *exclusive* upper key of partition `i`;
     /// the last partition is unbounded.
@@ -114,8 +165,8 @@ impl ResultCache {
         self.bounds.partition_point(|&b| b <= key)
     }
 
-    /// Insert a tuple found ahead of the cursor.
-    pub fn insert(&mut self, storage: &Storage, key: i64, tid: Tid, row: Row) {
+    /// Insert the encoded tuple `bytes` found ahead of the cursor.
+    pub fn insert(&mut self, storage: &Storage, key: i64, tid: Tid, bytes: &[u8]) {
         storage.clock().charge_cpu(storage.cpu().hash_op_ns);
         let p = self.partition_of(key);
         debug_assert!(p >= self.current, "insert behind the cursor");
@@ -126,7 +177,10 @@ impl ResultCache {
             storage.clock().charge_io(ns);
             self.stats.spilled += 1;
         }
-        if part.rows.insert((key, tid), row).is_none() {
+        let span = (part.arena.len(), bytes.len());
+        part.arena.extend_from_slice(bytes);
+        if part.index.insert((key, tid), span).is_none() {
+            part.live += 1;
             self.stats.inserts += 1;
             if !part.spilled {
                 self.stats.resident += 1;
@@ -136,19 +190,19 @@ impl ResultCache {
         self.maybe_spill(storage);
     }
 
-    /// Probe for the tuple the cursor just reached.
-    pub fn probe(&mut self, storage: &Storage, key: i64, tid: Tid) -> Option<Row> {
+    /// Probe for the tuple the cursor just reached. A hit takes the tuple
+    /// out of the cache and returns its encoded bytes.
+    pub fn probe(&mut self, storage: &Storage, key: i64, tid: Tid) -> Option<&[u8]> {
         storage.clock().charge_cpu(storage.cpu().hash_op_ns);
         self.stats.requests += 1;
         let p = self.partition_of(key);
         if self.parts[p].spilled {
             self.unspill(storage, p);
         }
-        let row = self.parts[p].rows.get(&(key, tid)).cloned();
-        if row.is_some() {
-            self.stats.hits += 1;
-        }
-        row
+        let part = &mut self.parts[p];
+        let (offset, len) = part.index.remove(&(key, tid))?;
+        self.stats.hits += 1;
+        Some(&part.arena[offset..offset + len])
     }
 
     /// Record the cursor position without sweeping. Probes and inserts
@@ -175,7 +229,7 @@ impl ResultCache {
     pub fn advance_to(&mut self, key: i64) {
         while self.current < self.bounds.len() && self.bounds[self.current] <= key {
             let part = std::mem::take(&mut self.parts[self.current]);
-            let n = part.rows.len() as u64;
+            let n = part.live;
             self.stats.evicted += n;
             if !part.spilled {
                 self.stats.resident -= n;
@@ -188,13 +242,11 @@ impl ResultCache {
     pub fn clear(&mut self) {
         self.pending_advance = None;
         for part in &mut self.parts {
-            let n = part.rows.len() as u64;
-            self.stats.evicted += n;
+            let part = std::mem::take(part);
+            self.stats.evicted += part.live;
             if !part.spilled {
-                self.stats.resident = self.stats.resident.saturating_sub(n);
+                self.stats.resident = self.stats.resident.saturating_sub(part.live);
             }
-            part.rows.clear();
-            part.spilled = false;
         }
     }
 
@@ -235,9 +287,9 @@ impl ResultCache {
             // key range are spilled into the overflow files").
             let victim = (self.current..self.parts.len())
                 .rev()
-                .find(|&i| !self.parts[i].spilled && !self.parts[i].rows.is_empty());
+                .find(|&i| !self.parts[i].spilled && self.parts[i].live > 0);
             let Some(v) = victim else { return };
-            let n = self.parts[v].rows.len() as u64;
+            let n = self.parts[v].live;
             if v == self.current && self.parts.len() == 1 {
                 return; // never spill the only active partition
             }
@@ -251,7 +303,7 @@ impl ResultCache {
 
     fn unspill(&mut self, storage: &Storage, p: usize) {
         let part = &mut self.parts[p];
-        let n = part.rows.len() as u64;
+        let n = part.live;
         part.spilled = false;
         self.stats.unspilled += n;
         self.stats.resident += n;
@@ -264,25 +316,47 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smooth_types::Value;
 
     fn storage() -> Storage {
         Storage::default_hdd()
     }
 
-    fn row(v: i64) -> Row {
-        Row::new(vec![Value::Int(v)])
+    /// A distinct encoded payload per key.
+    fn tuple(v: i64) -> Vec<u8> {
+        v.to_le_bytes().to_vec()
     }
 
     #[test]
     fn insert_probe_roundtrip() {
         let s = storage();
         let mut c = ResultCache::new(&[100, 200, 300], 4, 64);
-        c.insert(&s, 150, Tid::new(1, 1), row(150));
-        assert_eq!(c.probe(&s, 150, Tid::new(1, 1)), Some(row(150)));
+        c.insert(&s, 150, Tid::new(1, 1), &tuple(150));
+        assert_eq!(c.probe(&s, 150, Tid::new(1, 1)), Some(&tuple(150)[..]));
         assert_eq!(c.probe(&s, 150, Tid::new(1, 2)), None);
         let st = c.stats();
         assert_eq!((st.inserts, st.requests, st.hits), (1, 2, 1));
+    }
+
+    #[test]
+    fn hit_takes_the_tuple_but_residency_stays_logical() {
+        let s = storage();
+        let mut c = ResultCache::new(&[10, 20], 3, 64).with_spill_threshold(3);
+        c.insert(&s, 5, Tid::new(0, 0), &tuple(5));
+        c.insert(&s, 6, Tid::new(0, 1), &tuple(6));
+        assert_eq!(c.probe(&s, 5, Tid::new(0, 0)), Some(&tuple(5)[..]));
+        // The cursor reaches each `(key, tid)` once: a second probe misses.
+        assert_eq!(c.probe(&s, 5, Tid::new(0, 0)), None);
+        // A taken tuple still counts as resident until bulk eviction, so
+        // the spill decision sees both tuples of [_, 10).
+        assert_eq!(c.stats().resident, 2);
+        c.insert(&s, 15, Tid::new(0, 2), &tuple(15));
+        c.insert(&s, 16, Tid::new(0, 3), &tuple(16)); // 4 > 3: spill [10, 20)
+        let st = c.stats();
+        assert_eq!((st.resident, st.spilled), (2, 2));
+        c.advance_to(10);
+        let st = c.stats();
+        assert_eq!((st.evicted, st.resident, st.hits), (2, 0, 1));
+        assert_eq!(c.probe(&s, 6, Tid::new(0, 1)), None, "evicted with its partition");
     }
 
     #[test]
@@ -299,33 +373,33 @@ mod tests {
     fn bulk_eviction_on_advance() {
         let s = storage();
         let mut c = ResultCache::new(&[10, 20, 30], 4, 64);
-        c.insert(&s, 5, Tid::new(0, 0), row(5));
-        c.insert(&s, 15, Tid::new(0, 1), row(15));
-        c.insert(&s, 25, Tid::new(0, 2), row(25));
-        c.insert(&s, 35, Tid::new(0, 3), row(35));
+        c.insert(&s, 5, Tid::new(0, 0), &tuple(5));
+        c.insert(&s, 15, Tid::new(0, 1), &tuple(15));
+        c.insert(&s, 25, Tid::new(0, 2), &tuple(25));
+        c.insert(&s, 35, Tid::new(0, 3), &tuple(35));
         assert_eq!(c.stats().resident, 4);
         c.advance_to(20); // passes partitions [_,10) and [10,20)
         let st = c.stats();
         assert_eq!(st.evicted, 2);
         assert_eq!(st.resident, 2);
         // Items at/ahead of the cursor survive.
-        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(row(25)));
-        assert_eq!(c.probe(&s, 35, Tid::new(0, 3)), Some(row(35)));
+        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(&tuple(25)[..]));
+        assert_eq!(c.probe(&s, 35, Tid::new(0, 3)), Some(&tuple(35)[..]));
     }
 
     #[test]
     fn deferred_advance_sweeps_once_at_flush() {
         let s = storage();
         let mut c = ResultCache::new(&[10, 20, 30], 4, 64);
-        c.insert(&s, 5, Tid::new(0, 0), row(5));
-        c.insert(&s, 15, Tid::new(0, 1), row(15));
-        c.insert(&s, 25, Tid::new(0, 2), row(25));
+        c.insert(&s, 5, Tid::new(0, 0), &tuple(5));
+        c.insert(&s, 15, Tid::new(0, 1), &tuple(15));
+        c.insert(&s, 25, Tid::new(0, 2), &tuple(25));
         // Recording cursor keys evicts nothing yet …
         c.defer_advance(12);
         c.defer_advance(22);
         assert_eq!(c.stats().evicted, 0);
         // … and a deferred advance never hides a probe of the current key.
-        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(row(25)));
+        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(&tuple(25)[..]));
         // The flush sweeps to the highest recorded key.
         c.flush_advance();
         let st = c.stats();
@@ -340,9 +414,9 @@ mod tests {
     fn boundary_key_does_not_evict_its_own_partition() {
         let s = storage();
         let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 10, Tid::new(0, 0), row(10));
+        c.insert(&s, 10, Tid::new(0, 0), &tuple(10));
         c.advance_to(10); // partition [10, ∞) must survive
-        assert_eq!(c.probe(&s, 10, Tid::new(0, 0)), Some(row(10)));
+        assert_eq!(c.probe(&s, 10, Tid::new(0, 0)), Some(&tuple(10)[..]));
         assert_eq!(c.stats().evicted, 0);
     }
 
@@ -351,15 +425,15 @@ mod tests {
         let s = storage();
         let mut c = ResultCache::new(&[100, 200, 300], 4, 64).with_spill_threshold(2);
         // Fill three partitions; threshold 2 forces the furthest to spill.
-        c.insert(&s, 50, Tid::new(0, 0), row(50));
-        c.insert(&s, 150, Tid::new(0, 1), row(150));
+        c.insert(&s, 50, Tid::new(0, 0), &tuple(50));
+        c.insert(&s, 150, Tid::new(0, 1), &tuple(150));
         let io_before = s.clock().snapshot().io_ns;
-        c.insert(&s, 350, Tid::new(0, 2), row(350)); // exceeds threshold
+        c.insert(&s, 350, Tid::new(0, 2), &tuple(350)); // exceeds threshold
         let st = c.stats();
         assert!(st.spilled >= 1, "furthest partition spilled: {st:?}");
         assert!(s.clock().snapshot().io_ns > io_before, "spill charged I/O");
         // Probing the spilled partition brings it back (charged) and hits.
-        assert_eq!(c.probe(&s, 350, Tid::new(0, 2)), Some(row(350)));
+        assert_eq!(c.probe(&s, 350, Tid::new(0, 2)), Some(&tuple(350)[..]));
         assert!(c.stats().unspilled >= 1);
     }
 
@@ -377,23 +451,23 @@ mod tests {
         // third insert, so resident never crosses the limit — no spill.
         let s_eager = storage();
         let mut eager = ResultCache::new(&bounds, 4, 64).with_spill_threshold(limit);
-        eager.insert(&s_eager, 5, Tid::new(0, 0), row(5));
+        eager.insert(&s_eager, 5, Tid::new(0, 0), &tuple(5));
         eager.defer_advance(6);
         eager.flush_advance();
-        eager.insert(&s_eager, 15, Tid::new(0, 1), row(15));
+        eager.insert(&s_eager, 15, Tid::new(0, 1), &tuple(15));
         eager.defer_advance(12);
         eager.flush_advance(); // volcano sweeps here, before the next insert
-        eager.insert(&s_eager, 25, Tid::new(0, 2), row(25));
+        eager.insert(&s_eager, 25, Tid::new(0, 2), &tuple(25));
         eager.flush_advance();
         // Deferred sweeps: identical sequence, but the sweep for key 12
         // waits for the batch boundary after the third insert.
         let s_deferred = storage();
         let mut deferred = ResultCache::new(&bounds, 4, 64).with_spill_threshold(limit);
-        deferred.insert(&s_deferred, 5, Tid::new(0, 0), row(5));
+        deferred.insert(&s_deferred, 5, Tid::new(0, 0), &tuple(5));
         deferred.defer_advance(6);
-        deferred.insert(&s_deferred, 15, Tid::new(0, 1), row(15));
+        deferred.insert(&s_deferred, 15, Tid::new(0, 1), &tuple(15));
         deferred.defer_advance(12);
-        deferred.insert(&s_deferred, 25, Tid::new(0, 2), row(25));
+        deferred.insert(&s_deferred, 25, Tid::new(0, 2), &tuple(25));
         deferred.flush_advance();
         assert_eq!(
             s_deferred.clock().snapshot(),
@@ -410,8 +484,8 @@ mod tests {
     fn clear_releases_everything() {
         let s = storage();
         let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 5, Tid::new(0, 0), row(5));
-        c.insert(&s, 15, Tid::new(0, 1), row(15));
+        c.insert(&s, 5, Tid::new(0, 0), &tuple(5));
+        c.insert(&s, 15, Tid::new(0, 1), &tuple(15));
         c.clear();
         assert_eq!(c.stats().resident, 0);
         assert_eq!(c.probe(&s, 5, Tid::new(0, 0)), None);
@@ -421,10 +495,10 @@ mod tests {
     fn max_resident_high_water_mark() {
         let s = storage();
         let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 1, Tid::new(0, 0), row(1));
-        c.insert(&s, 2, Tid::new(0, 1), row(2));
+        c.insert(&s, 1, Tid::new(0, 0), &tuple(1));
+        c.insert(&s, 2, Tid::new(0, 1), &tuple(2));
         c.advance_to(10);
-        c.insert(&s, 11, Tid::new(0, 2), row(11));
+        c.insert(&s, 11, Tid::new(0, 2), &tuple(11));
         assert_eq!(c.stats().max_resident, 2);
     }
 }

@@ -5,14 +5,18 @@
 //! execution-strategy change only, never a semantics change. The columnar
 //! iterator protocol carries the same obligation: `next_columns` must
 //! yield the identical row sequence as `next`, including across mode
-//! switches and with both protocols interleaved on one stream.
+//! switches and with both protocols interleaved on one stream. Ordered
+//! Smooth Scan carries the strongest form: it must emit the *sequence* an
+//! index scan over the same bounds and residual emits, row for row.
 
 use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use smooth_core::{PolicyKind, SmoothScan, SmoothScanConfig, Trigger};
-use smooth_executor::{collect_rows, collect_rows_volcano, FullTableScan, Operator, Predicate};
+use smooth_executor::{
+    collect_rows, collect_rows_volcano, FullTableScan, IndexScan, Operator, Predicate,
+};
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
@@ -84,8 +88,59 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     ]
 }
 
+/// A residual on `c0` (the row number): none, a range, or its negation.
+fn arb_residual() -> impl Strategy<Value = Predicate> {
+    prop_oneof![
+        Just(Predicate::True),
+        (0i64..1500, 0i64..1500).prop_map(|(lo, w)| Predicate::int_half_open(0, lo, lo + w)),
+        (0i64..1500, 0i64..1500)
+            .prop_map(|(lo, w)| Predicate::Not(Box::new(Predicate::int_half_open(0, lo, lo + w)))),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Ordered Smooth Scan ≡ index scan, in sequence: both emit in cursor
+    /// `(key, tid)` order, so equal keys must come out in TID order too,
+    /// whether a tuple was emitted as the driving tuple, found ahead and
+    /// served by the Result Cache (spilled or not), or produced by Mode 0.
+    /// Every tuple parked in the cache is taken exactly once.
+    #[test]
+    fn ordered_smooth_scan_equals_index_scan_in_sequence(
+        keys in proptest::collection::vec(0i64..120, 50..1500),
+        lo in 0i64..120,
+        width in 0i64..140,
+        residual in arb_residual(),
+        policy in arb_policy(),
+        trigger_card in prop_oneof![Just(None), (0u64..300).prop_map(Some)],
+        spill in prop_oneof![Just(None), (1usize..40).prop_map(Some)],
+        pool in 4usize..64,
+    ) {
+        let (heap, index) = build_table(&keys);
+        let s = storage(pool);
+        let (lo, hi) = (Bound::Included(lo), Bound::Excluded(lo + width));
+        let mut oracle =
+            IndexScan::new(Arc::clone(&heap), Arc::clone(&index), s.clone(), lo, hi, residual.clone());
+        let expected = collect_rows(&mut oracle).unwrap();
+
+        let trigger = match trigger_card {
+            None => Trigger::Eager,
+            Some(c) => Trigger::OptimizerDriven {
+                estimated_cardinality: c,
+                policy: PolicyKind::SelectivityIncrease,
+            },
+        };
+        let mut config =
+            SmoothScanConfig::default().with_policy(policy).with_order(true).with_trigger(trigger);
+        config.result_cache_spill = spill;
+        let mut ss =
+            SmoothScan::new(Arc::clone(&heap), Arc::clone(&index), s, 1, lo, hi, residual, config);
+        let rows = collect_rows(&mut ss).unwrap();
+        prop_assert_eq!(rows, expected);
+        let cache = ss.metrics().cache;
+        prop_assert!(cache.hits == cache.inserts, "every parked tuple taken once: {:?}", cache);
+    }
 
     #[test]
     fn smooth_scan_equals_oracle(

@@ -571,31 +571,13 @@ impl ScanFilter {
         }
         let mut emitted = 0u64;
         if self.probe_pays() {
-            for v in &mut self.col_scratch {
-                v.clear();
-            }
-            // Probe vectors are predicate scratch, never emitted — decode
-            // them owned so they don't pin pages past the probe.
-            for t in tuples {
-                decode_columns_append(schema, t, &self.cols, &mut self.col_scratch, None)?;
-            }
-            let scratch = &self.col_scratch;
-            let col_map = &self.col_map;
-            let lookup =
-                |c: usize| -> Result<&ColumnVector> {
-                    col_map.get(c).copied().flatten().map(|k| &scratch[k]).ok_or_else(|| {
-                        smooth_types::Error::exec(format!("column {c} out of range"))
-                    })
-                };
-            let mut mask = std::mem::take(&mut self.mask);
-            self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut mask)?;
-            for (t, &m) in tuples.iter().zip(&mask) {
+            self.probe_mask(schema, tuples)?;
+            for (t, &m) in tuples.iter().zip(&self.mask) {
                 if m {
                     out.push_tuple_backed(schema, t, backing)?;
                     emitted += 1;
                 }
             }
-            self.mask = mask;
         } else {
             for t in tuples {
                 out.push_tuple_backed(schema, t, backing)?;
@@ -611,6 +593,73 @@ impl ScanFilter {
         self.matched += emitted;
         smooth_storage::tap_rows(inspected, emitted);
         Ok((inspected, emitted))
+    }
+
+    /// Qualification without materialization: replace `out` with
+    /// `(i, key)` for every qualifying `tuples[i]`, in input order, where
+    /// `key` is the tuple's integer value in column `key_col`. The
+    /// predicate must read `key_col` (an index-range conjunct does).
+    /// Returns `(inspected, emitted)` like [`ScanFilter::fill_columns`],
+    /// with the same match-rate and tap accounting as one
+    /// [`ScanFilter::filter_decode`] call per tuple.
+    ///
+    /// Only the predicate's columns are decoded, page-at-a-time into the
+    /// probe scratch; the caller decides what becomes of the encoded
+    /// qualifiers (ordered Smooth Scan parks them in its Result Cache
+    /// as bytes). Since no qualifier is fully decoded here, this always
+    /// probes: the single-pass fallback of `fill_columns` would save
+    /// nothing.
+    pub fn qualify_keys(
+        &mut self,
+        schema: &Schema,
+        tuples: &[&[u8]],
+        key_col: usize,
+        out: &mut Vec<(usize, i64)>,
+    ) -> Result<(u64, u64)> {
+        out.clear();
+        let k = self.col_map.get(key_col).copied().flatten().ok_or_else(|| {
+            smooth_types::Error::exec(format!("key column {key_col} is not read by the filter"))
+        })?;
+        self.probe_mask(schema, tuples)?;
+        let keys = &self.col_scratch[k];
+        let ColumnValues::Int(values) = keys.values() else {
+            return Err(smooth_types::Error::exec("non-integer index key"));
+        };
+        for (i, _) in self.mask.iter().enumerate().filter(|(_, &m)| m) {
+            if keys.is_null(i) {
+                return Err(smooth_types::Error::exec("non-integer index key NULL"));
+            }
+            out.push((i, values[i]));
+        }
+        let (inspected, emitted) = (tuples.len() as u64, out.len() as u64);
+        self.probed += inspected;
+        self.matched += emitted;
+        smooth_storage::tap_rows(inspected, emitted);
+        Ok((inspected, emitted))
+    }
+
+    /// Decode the predicate's columns of `tuples` into the probe scratch
+    /// and evaluate the predicate over them into `self.mask`.
+    fn probe_mask(&mut self, schema: &Schema, tuples: &[&[u8]]) -> Result<()> {
+        for v in &mut self.col_scratch {
+            v.clear();
+        }
+        // Probe vectors are predicate scratch, never emitted — decode
+        // them owned so they don't pin pages past the probe.
+        for t in tuples {
+            decode_columns_append(schema, t, &self.cols, &mut self.col_scratch, None)?;
+        }
+        let scratch = &self.col_scratch;
+        let col_map = &self.col_map;
+        let lookup = |c: usize| -> Result<&ColumnVector> {
+            col_map
+                .get(c)
+                .copied()
+                .flatten()
+                .map(|k| &scratch[k])
+                .ok_or_else(|| smooth_types::Error::exec(format!("column {c} out of range")))
+        };
+        self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut self.mask)
     }
 }
 
@@ -842,6 +891,63 @@ mod tests {
             assert_eq!(emitted_total, expected.len(), "{pred:?}");
             assert_eq!(out.into_rows(), expected, "{pred:?}");
         }
+    }
+
+    #[test]
+    fn qualify_keys_matches_filter_decode() {
+        use smooth_types::{Column, DataType};
+        let schema = Schema::new(vec![
+            Column::new("a", DataType::Int64),
+            Column::nullable("b", DataType::Int64),
+            Column::new("s", DataType::Text),
+        ])
+        .unwrap();
+        let rows: Vec<Row> = (0..600)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i),
+                    if i % 7 == 0 { Value::Null } else { Value::Int(i % 50) },
+                    Value::str(if i % 3 == 0 { "x" } else { "y" }),
+                ])
+            })
+            .collect();
+        let encoded: Vec<Vec<u8>> = rows.iter().map(|r| r.encode(&schema).unwrap()).collect();
+        let tuples: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let preds = [
+            Predicate::int_lt(1, 5),
+            Predicate::int_ge(1, 0),
+            Predicate::And(vec![
+                Predicate::int_ge(1, 10),
+                Predicate::StrEq { col: 2, value: "x".into() },
+            ]),
+        ];
+        for pred in preds {
+            let mut row_filter = ScanFilter::new(pred.clone(), &schema);
+            let mut key_filter = ScanFilter::new(pred.clone(), &schema);
+            let mut expected = Vec::new();
+            for (i, t) in tuples.iter().enumerate() {
+                if let Some(r) = row_filter.filter_decode(&schema, t).unwrap() {
+                    expected.push((i, r.int(1).unwrap()));
+                }
+            }
+            let mut got = Vec::new();
+            let mut quals = Vec::new();
+            for (c, chunk) in tuples.chunks(90).enumerate() {
+                let (inspected, emitted) =
+                    key_filter.qualify_keys(&schema, chunk, 1, &mut quals).unwrap();
+                assert_eq!((inspected as usize, emitted as usize), (chunk.len(), quals.len()));
+                got.extend(quals.iter().map(|&(i, k)| (c * 90 + i, k)));
+            }
+            assert_eq!(got, expected, "{pred:?}");
+            assert_eq!(
+                (key_filter.probed, key_filter.matched),
+                (row_filter.probed, row_filter.matched),
+                "{pred:?}"
+            );
+        }
+        // The key must be one of the predicate's columns.
+        let mut filter = ScanFilter::new(Predicate::int_lt(1, 5), &schema);
+        assert!(filter.qualify_keys(&schema, &tuples, 0, &mut Vec::new()).is_err());
     }
 
     #[test]
