@@ -16,13 +16,16 @@
 //! every heap page has been visited, the structure has fully morphed into
 //! a hash table and the B+-tree is no longer consulted.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use smooth_executor::{BoxedOperator, Operator, Predicate, ScanFilter};
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, PageId, Result, Row, Schema, Value};
+use smooth_types::{
+    ColumnBatch, ColumnBuffer, ColumnValues, PageId, Result, Row, Schema, Tid, Value,
+    DEFAULT_BATCH_SIZE,
+};
 
 use crate::page_cache::PageIdCache;
 
@@ -55,6 +58,8 @@ pub struct SmoothInnerPath {
     visited: PageIdCache,
     harvested: HashMap<i64, Vec<Row>>,
     metrics: InnerPathMetrics,
+    /// Index-probe scratch, reused across probes.
+    tids: Vec<Tid>,
 }
 
 impl SmoothInnerPath {
@@ -78,6 +83,7 @@ impl SmoothInnerPath {
             visited: PageIdCache::new(pages),
             harvested: HashMap::new(),
             metrics: InnerPathMetrics::default(),
+            tids: Vec::new(),
         }
     }
 
@@ -116,21 +122,22 @@ impl SmoothInnerPath {
 
     /// All inner rows matching `key`, in harvest order. Pages are fetched
     /// at most once across the whole join.
-    pub fn probe(&mut self, key: i64) -> Result<Vec<Row>> {
+    pub fn probe(&mut self, key: i64) -> Result<&[Row]> {
         self.metrics.probes += 1;
         let cpu = *self.storage.cpu();
         self.storage.clock().charge_cpu(cpu.hash_op_ns);
         if self.metrics.fully_morphed {
             // Pure hash-join regime: the index is no longer consulted.
             self.metrics.cache_only_probes += 1;
-            return Ok(self.harvested.get(&key).cloned().unwrap_or_default());
+            return Ok(self.harvested_for(key));
         }
-        let tids = self.index.probe(&self.storage, key);
+        self.index.probe_into(&self.storage, key, &mut self.tids);
         let mut fetched_any = false;
-        for tid in tids {
+        for i in 0..self.tids.len() {
+            let page = self.tids[i].page;
             self.storage.clock().charge_cpu(cpu.bitmap_op_ns);
-            if !self.visited.contains(tid.page) {
-                self.harvest_page(tid.page)?;
+            if !self.visited.contains(page) {
+                self.harvest_page(page)?;
                 fetched_any = true;
             }
         }
@@ -140,34 +147,40 @@ impl SmoothInnerPath {
         if self.visited.len() == self.heap.page_count() {
             self.metrics.fully_morphed = true;
         }
-        Ok(self.harvested.get(&key).cloned().unwrap_or_default())
+        Ok(self.harvested_for(key))
+    }
+
+    fn harvested_for(&self, key: i64) -> &[Row] {
+        self.harvested.get(&key).map_or(&[], Vec::as_slice)
     }
 }
 
 /// Index-nested-loop join whose inner side is a [`SmoothInnerPath`] — the
 /// Section IV-B "morphable join" sketch made concrete.
+///
+/// Shaped like the plain [`smooth_executor::IndexNestedLoopJoin`]: outer
+/// morsels stay columnar, keys are read straight off the outer key
+/// column, and each harvested match is written into the output batch
+/// column by column beside the gathered outer columns — no outer `Row`,
+/// no concatenated pair. Both iterator protocols drain one
+/// [`ColumnBuffer`] FIFO. The harvest cache itself still holds decoded
+/// `Row`s.
 pub struct SmoothIndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
     inner: SmoothInnerPath,
     schema: Schema,
-    pending: Vec<Row>,
-    /// Outer rows pulled in batches, consumed front-to-back.
-    outer_buf: VecDeque<Row>,
+    /// Pending join output (filled by whole outer morsels, drained by
+    /// whichever protocol the parent speaks).
+    out: ColumnBuffer,
 }
 
 impl SmoothIndexNestedLoopJoin {
     /// `outer.outer_col = inner.key_col` via the inner path's index.
     pub fn new(outer: BoxedOperator, outer_col: usize, inner: SmoothInnerPath) -> Self {
         let schema = outer.schema().join(inner.heap.schema());
-        SmoothIndexNestedLoopJoin {
-            outer,
-            outer_col,
-            inner,
-            schema,
-            pending: Vec::new(),
-            outer_buf: VecDeque::new(),
-        }
+        let out = ColumnBuffer::for_schema(&schema);
+        SmoothIndexNestedLoopJoin { outer, outer_col, inner, schema, out }
     }
 
     /// The inner path's morphing counters.
@@ -175,34 +188,40 @@ impl SmoothIndexNestedLoopJoin {
         self.inner.metrics()
     }
 
-    /// Next outer row: buffered batch first, then the child row protocol.
-    fn next_outer(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.outer_buf.pop_front() {
-            return Ok(Some(row));
-        }
-        self.outer.next()
-    }
-
-    /// Probe the morphing inner path for one outer row; matches queue in
-    /// `pending` (reversed, so `pop()` preserves harvest order).
-    fn probe_outer(&mut self, outer_row: Row) -> Result<()> {
-        let key = match outer_row.get(self.outer_col) {
-            Value::Int(k) => *k,
-            Value::Null => return Ok(()),
-            other => {
-                return Err(smooth_types::Error::exec(format!(
-                    "join key must be integer, got {other}"
-                )))
+    /// Pull one outer morsel and probe the morphing inner path for every
+    /// live row of it, one emit charge per match. Returns `false` at
+    /// outer exhaustion.
+    fn advance(&mut self, max: usize) -> Result<bool> {
+        let Some(batch) = self.outer.next_columns(max)? else { return Ok(false) };
+        let keys = batch.column_checked(self.outer_col)?;
+        let left_width = batch.width();
+        let emit_ns = self.inner.storage.cpu().emit_tuple_ns;
+        for phys in batch.live_rows() {
+            if keys.is_null(phys) {
+                continue;
             }
-        };
-        let matches = self.inner.probe(key)?;
-        let cpu = *self.inner.storage.cpu();
-        self.inner.storage.clock().charge_cpu(cpu.emit_tuple_ns * matches.len() as u64);
-        debug_assert!(self.pending.is_empty(), "probe with undrained pending rows");
-        for m in matches.iter().rev() {
-            self.pending.push(outer_row.concat(m));
+            let ColumnValues::Int(ints) = keys.values() else {
+                return Err(smooth_types::Error::exec(format!(
+                    "join key must be integer, got {}",
+                    keys.value(phys)
+                )));
+            };
+            let matches = self.inner.probe(ints[phys])?;
+            let emitted = matches.len() as u64;
+            let out = self.out.fill();
+            for m in matches {
+                let cols = out.columns_mut();
+                for (c, dst) in cols[..left_width].iter_mut().enumerate() {
+                    dst.push_from(batch.column(c), phys);
+                }
+                for (dst, v) in cols[left_width..].iter_mut().zip(m.values()) {
+                    dst.push_value(v)?;
+                }
+                out.commit_rows(1);
+            }
+            self.inner.storage.clock().charge_cpu(emit_ns * emitted);
         }
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -213,54 +232,33 @@ impl Operator for SmoothIndexNestedLoopJoin {
 
     fn open(&mut self) -> Result<()> {
         self.outer.open()?;
-        self.pending.clear();
-        self.outer_buf.clear();
+        self.out.reset();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            if let Some(row) = self.pending.pop() {
+            if let Some(row) = self.out.pop_row() {
                 return Ok(Some(row));
             }
-            let Some(outer_row) = self.next_outer()? else { return Ok(None) };
-            self.probe_outer(outer_row)?;
+            if !self.advance(DEFAULT_BATCH_SIZE)? {
+                return Ok(None);
+            }
         }
     }
 
-    /// Vectorized probe loop: outer rows arrive in columnar batches, join
-    /// output leaves in batches of up to `max`.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
-        let mut out = Vec::new();
-        loop {
-            while out.len() < max {
-                match self.pending.pop() {
-                    Some(row) => out.push(row),
-                    None => break,
-                }
-            }
-            if out.len() >= max {
+        while self.out.pending() < max {
+            if !self.advance(max)? {
                 break;
             }
-            if self.outer_buf.is_empty() {
-                match self.outer.next_columns(max)? {
-                    Some(batch) => self.outer_buf.extend(batch.into_rows()),
-                    None => break,
-                }
-            }
-            let Some(outer_row) = self.outer_buf.pop_front() else { break };
-            self.probe_outer(outer_row)?;
         }
-        if out.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(ColumnBatch::from_rows(&self.schema, &out)?))
+        Ok(self.out.pop_columns(max))
     }
 
     fn close(&mut self) -> Result<()> {
-        self.pending.clear();
-        self.outer_buf.clear();
+        self.out.reset();
         self.outer.close()
     }
 

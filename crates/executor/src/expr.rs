@@ -638,9 +638,34 @@ impl ScanFilter {
         Ok((inspected, emitted))
     }
 
+    /// Whether the one encoded tuple `bytes` qualifies, decoding only the
+    /// predicate's columns into the probe scratch — nothing materializes.
+    /// Unlike the scan-side methods this touches neither the match-rate
+    /// heuristic nor the [`smooth_storage::tap_rows`] flow counters: the
+    /// index nested-loop join qualifies its inner residual here, and the
+    /// tuples it fetches by TID are join work, not scan flow. The tuple is
+    /// structurally validated as by a full decode, except under
+    /// `Predicate::True`, which reads no column.
+    pub fn qualifies(&mut self, schema: &Schema, bytes: &[u8]) -> Result<bool> {
+        if matches!(self.predicate, Predicate::True) {
+            return Ok(true);
+        }
+        self.decode_probe_columns(schema, &[bytes])?;
+        let (scratch, col_map) = (&self.col_scratch, &self.col_map);
+        self.predicate.eval_columns_at(&|c| scratch_column(scratch, col_map, c), 0)
+    }
+
     /// Decode the predicate's columns of `tuples` into the probe scratch
     /// and evaluate the predicate over them into `self.mask`.
     fn probe_mask(&mut self, schema: &Schema, tuples: &[&[u8]]) -> Result<()> {
+        self.decode_probe_columns(schema, tuples)?;
+        let (scratch, col_map) = (&self.col_scratch, &self.col_map);
+        let lookup = |c: usize| scratch_column(scratch, col_map, c);
+        self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut self.mask)
+    }
+
+    /// Replace the probe scratch with the predicate's columns of `tuples`.
+    fn decode_probe_columns(&mut self, schema: &Schema, tuples: &[&[u8]]) -> Result<()> {
         for v in &mut self.col_scratch {
             v.clear();
         }
@@ -649,18 +674,22 @@ impl ScanFilter {
         for t in tuples {
             decode_columns_append(schema, t, &self.cols, &mut self.col_scratch, None)?;
         }
-        let scratch = &self.col_scratch;
-        let col_map = &self.col_map;
-        let lookup = |c: usize| -> Result<&ColumnVector> {
-            col_map
-                .get(c)
-                .copied()
-                .flatten()
-                .map(|k| &scratch[k])
-                .ok_or_else(|| smooth_types::Error::exec(format!("column {c} out of range")))
-        };
-        self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut self.mask)
+        Ok(())
     }
+}
+
+/// The probe-scratch vector holding schema column `c`.
+fn scratch_column<'a>(
+    scratch: &'a [ColumnVector],
+    col_map: &[Option<usize>],
+    c: usize,
+) -> Result<&'a ColumnVector> {
+    col_map
+        .get(c)
+        .copied()
+        .flatten()
+        .map(|k| &scratch[k])
+        .ok_or_else(|| smooth_types::Error::exec(format!("column {c} out of range")))
 }
 
 #[cfg(test)]
@@ -948,6 +977,49 @@ mod tests {
         // The key must be one of the predicate's columns.
         let mut filter = ScanFilter::new(Predicate::int_lt(1, 5), &schema);
         assert!(filter.qualify_keys(&schema, &tuples, 0, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn qualifies_matches_row_eval_without_tapping() {
+        use smooth_types::{Column, DataType};
+        let schema = Schema::new(vec![
+            Column::new("a", DataType::Int64),
+            Column::nullable("b", DataType::Int64),
+            Column::new("s", DataType::Text),
+        ])
+        .unwrap();
+        let rows: Vec<Row> = (0..200)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i),
+                    if i % 7 == 0 { Value::Null } else { Value::Int(i % 50) },
+                    Value::str(if i % 3 == 0 { "x" } else { "y" }),
+                ])
+            })
+            .collect();
+        let preds = [
+            Predicate::True,
+            Predicate::int_lt(1, 5),
+            Predicate::Or(vec![
+                Predicate::int_ge(1, 40),
+                Predicate::StrEq { col: 2, value: "x".into() },
+            ]),
+            Predicate::IntColLt { left: 1, right: 0 },
+        ];
+        for pred in preds {
+            let mut filter = ScanFilter::new(pred.clone(), &schema);
+            let mark = smooth_storage::tap_mark();
+            for r in &rows {
+                let bytes = r.encode(&schema).unwrap();
+                assert_eq!(filter.qualifies(&schema, &bytes).unwrap(), pred.eval(r).unwrap());
+            }
+            assert_eq!(mark.delta(), smooth_storage::ScanStatistics::default(), "{pred:?}");
+            assert_eq!((filter.probed, filter.matched), (0, 0), "{pred:?}");
+        }
+        // A truncated tuple errors as it would under a full decode.
+        let bytes = rows[1].encode(&schema).unwrap();
+        let mut filter = ScanFilter::new(Predicate::int_lt(0, 5), &schema);
+        assert!(filter.qualifies(&schema, &bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

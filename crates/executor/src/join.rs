@@ -6,17 +6,19 @@
 //! situation where Smooth Scan's order preservation matters (Section IV-B,
 //! "Interaction with Other Operators").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smooth_index::BTreeIndex;
-use smooth_storage::{HeapFile, Storage};
+use smooth_storage::{HeapFile, PageView, Storage};
+use smooth_types::columns::decode_columns_append;
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnVector, Error, Result, Row, Schema, Value, DEFAULT_BATCH_SIZE,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, Tid, Value,
+    DEFAULT_BATCH_SIZE,
 };
 
-use crate::expr::Predicate;
+use crate::expr::{Predicate, ScanFilter};
 use crate::operator::{BoxedOperator, Operator};
 use crate::spill::{charge_spill_io, spill_partitions, spill_write, SpillFile};
 
@@ -727,9 +729,9 @@ impl JoinBuildPartial {
 /// [`JoinBuildTable`] (typed key map over payload column vectors — no
 /// `Vec<Row>`), probes read keys vector-at-a-time off the probe batch's
 /// key column, and matches gather left and right payload columns directly
-/// into the output batch without ever concatenating `Row`s. All three
-/// iterator protocols drain one [`ColumnBuffer`] FIFO, so they interleave
-/// freely on a single probe order.
+/// into the output batch without ever concatenating `Row`s. Both iterator
+/// protocols drain one [`ColumnBuffer`] FIFO, so they interleave freely
+/// on a single probe order.
 pub struct HashJoin {
     left: BoxedOperator,
     right: BoxedOperator,
@@ -1097,18 +1099,33 @@ impl Operator for NestedLoopJoin {
 /// B+-tree and fetch matching heap tuples ("a parameterized path",
 /// Section IV-B). The inner fetches are random heap I/O — the pattern that
 /// destroys Q12/Q19 in Fig. 1 when the outer cardinality is underestimated.
+///
+/// Row-free like [`HashJoin`]: each outer morsel stays columnar, and its
+/// keys are read straight off the outer key column. Per matching TID the
+/// inner tuple's residual is qualified on its *encoded* bytes (only the
+/// residual's columns decode, into reused scratch), and a qualifying
+/// tuple decodes once, straight into the output's right-hand columns,
+/// with text as views pinning the heap page; the outer columns gather
+/// beside it. No `Row` is built on this path. Both iterator protocols
+/// drain one [`ColumnBuffer`] FIFO, so they interleave freely on a single
+/// probe order: outer order, then TID order.
 pub struct IndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
     inner_heap: Arc<HeapFile>,
     inner_index: Arc<BTreeIndex>,
-    inner_residual: Predicate,
+    /// The inner residual, qualified on encoded tuples.
+    inner_residual: ScanFilter,
+    /// Every inner ordinal, ascending: the full-decode column list.
+    inner_cols: Vec<usize>,
     ty: JoinType,
     storage: Storage,
     schema: Schema,
-    pending: Vec<Row>,
-    /// Outer rows pulled in batches, consumed front-to-back.
-    outer_buf: VecDeque<Row>,
+    /// Pending join output (filled by whole outer morsels, drained by
+    /// whichever protocol the parent speaks).
+    out: ColumnBuffer,
+    /// Index-probe scratch, reused across outer rows.
+    tids: Vec<Tid>,
 }
 
 impl IndexNestedLoopJoin {
@@ -1123,70 +1140,85 @@ impl IndexNestedLoopJoin {
         storage: Storage,
     ) -> Self {
         let schema = join_schema(outer.schema(), inner_heap.schema(), ty);
+        let inner_residual = ScanFilter::new(inner_residual, inner_heap.schema());
+        let inner_cols = (0..inner_heap.schema().len()).collect();
+        let out = ColumnBuffer::for_schema(&schema);
         IndexNestedLoopJoin {
             outer,
             outer_col,
             inner_heap,
             inner_index,
             inner_residual,
+            inner_cols,
             ty,
             storage,
             schema,
-            pending: Vec::new(),
-            outer_buf: VecDeque::new(),
+            out,
+            tids: Vec::new(),
         }
     }
 
-    /// Next outer row: buffered batch first, then the child row protocol.
-    fn next_outer(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.outer_buf.pop_front() {
-            return Ok(Some(row));
-        }
-        self.outer.next()
-    }
-
-    /// Probe the inner index for one outer row. Inner matches queue in
-    /// `pending` (reversed, so `pop()` preserves TID order); a semi match
-    /// returns the outer row directly.
-    fn probe(&mut self, outer_row: Row) -> Result<Option<Row>> {
-        let key = match outer_row.get(self.outer_col) {
-            Value::Int(k) => *k,
-            Value::Null => return Ok(None),
-            other => return Err(Error::exec(format!("INLJ key must be integer, got {other}"))),
-        };
-        let tids = self.inner_index.probe(&self.storage, key);
+    /// Pull one outer morsel and probe every live row of it, appending
+    /// the join output to the buffer. Charges, per outer row with a
+    /// non-NULL key: the index descent and leaf steps; per TID: the pool
+    /// lookup (and any miss) plus one inspect; per emitted row: one emit
+    /// (a semi join emits an outer row once, on its first match).
+    /// Returns `false` at outer exhaustion.
+    fn advance(&mut self, max: usize) -> Result<bool> {
+        let Some(batch) = self.outer.next_columns(max)? else { return Ok(false) };
+        let keys = batch.column_checked(self.outer_col)?;
         let cpu = *self.storage.cpu();
-        let mut matched = false;
-        let mut matches: Vec<Row> = Vec::new();
-        for tid in tids {
-            let page = self.storage.read_heap_page(&self.inner_heap, tid.page)?;
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
-            let inner_row = self.inner_heap.decode_slot(&page, tid.slot)?;
-            if self.inner_residual.eval(&inner_row)? {
+        let clock = self.storage.clock();
+        let inner_schema = self.inner_heap.schema();
+        let left_width = batch.width();
+        for phys in batch.live_rows() {
+            if keys.is_null(phys) {
+                continue;
+            }
+            let ColumnValues::Int(ints) = keys.values() else {
+                return Err(Error::exec(format!(
+                    "INLJ key must be integer, got {}",
+                    keys.value(phys)
+                )));
+            };
+            self.inner_index.probe_into(&self.storage, ints[phys], &mut self.tids);
+            let mut matched = false;
+            for &tid in &self.tids {
+                let page = self.storage.read_heap_page(&self.inner_heap, tid.page)?;
+                clock.charge_cpu(cpu.inspect_tuple_ns);
+                let bytes = PageView::new(&page)?.get(tid.slot)?;
+                if !self.inner_residual.qualifies(inner_schema, bytes)? {
+                    continue;
+                }
                 matched = true;
                 if self.ty == JoinType::LeftSemi {
                     break;
                 }
-                self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-                matches.push(outer_row.concat(&inner_row));
-            }
-        }
-        match self.ty {
-            JoinType::Inner => {
-                debug_assert!(self.pending.is_empty(), "probe with undrained pending rows");
-                matches.reverse();
-                self.pending = matches;
-                Ok(None)
-            }
-            JoinType::LeftSemi => {
-                if matched {
-                    self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-                    Ok(Some(outer_row))
-                } else {
-                    Ok(None)
+                clock.charge_cpu(cpu.emit_tuple_ns);
+                let out = self.out.fill();
+                let cols = out.columns_mut();
+                for (c, dst) in cols[..left_width].iter_mut().enumerate() {
+                    dst.push_from(batch.column(c), phys);
                 }
+                decode_columns_append(
+                    inner_schema,
+                    bytes,
+                    &self.inner_cols,
+                    &mut cols[left_width..],
+                    Some(&page),
+                )?;
+                out.commit_rows(1);
+            }
+            if matched && self.ty == JoinType::LeftSemi {
+                clock.charge_cpu(cpu.emit_tuple_ns);
+                let out = self.out.fill();
+                for (c, dst) in out.columns_mut().iter_mut().enumerate() {
+                    dst.push_from(batch.column(c), phys);
+                }
+                out.commit_rows(1);
             }
         }
+        Ok(true)
     }
 }
 
@@ -1197,58 +1229,33 @@ impl Operator for IndexNestedLoopJoin {
 
     fn open(&mut self) -> Result<()> {
         self.outer.open()?;
-        self.pending.clear();
-        self.outer_buf.clear();
+        self.out.reset();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            if let Some(row) = self.pending.pop() {
+            if let Some(row) = self.out.pop_row() {
                 return Ok(Some(row));
             }
-            let Some(outer_row) = self.next_outer()? else { return Ok(None) };
-            if let Some(row) = self.probe(outer_row)? {
-                return Ok(Some(row));
+            if !self.advance(DEFAULT_BATCH_SIZE)? {
+                return Ok(None);
             }
         }
     }
 
-    /// Vectorized probe loop: outer rows arrive in columnar batches, join
-    /// output leaves in batches of up to `max`.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
-        let mut out = Vec::new();
-        loop {
-            while out.len() < max {
-                match self.pending.pop() {
-                    Some(row) => out.push(row),
-                    None => break,
-                }
-            }
-            if out.len() >= max {
+        while self.out.pending() < max {
+            if !self.advance(max)? {
                 break;
             }
-            if self.outer_buf.is_empty() {
-                match self.outer.next_columns(max)? {
-                    Some(batch) => self.outer_buf.extend(batch.into_rows()),
-                    None => break,
-                }
-            }
-            let Some(outer_row) = self.outer_buf.pop_front() else { break };
-            if let Some(row) = self.probe(outer_row)? {
-                out.push(row);
-            }
         }
-        if out.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(ColumnBatch::from_rows(&self.schema, &out)?))
+        Ok(self.out.pop_columns(max))
     }
 
     fn close(&mut self) -> Result<()> {
-        self.pending.clear();
-        self.outer_buf.clear();
+        self.out.reset();
         self.outer.close()
     }
 
@@ -1267,7 +1274,7 @@ impl Operator for IndexNestedLoopJoin {
 mod tests {
     use super::*;
     use crate::operator::{collect_rows, ValuesOp};
-    use smooth_storage::HeapLoader;
+    use smooth_storage::{ClockSnapshot, HeapLoader, IoSnapshot};
     use smooth_types::{Column, DataType};
 
     fn schema(names: &[&str]) -> Schema {
@@ -1417,6 +1424,89 @@ mod tests {
         );
         let rows = pairs(&collect_rows(&mut j).unwrap());
         assert_eq!(rows, vec![vec![7, 50]]);
+    }
+
+    #[test]
+    fn inlj_accounting_is_pinned() {
+        // Clock, I/O and scan-statistics deltas of three index nested-loop
+        // joins driven columnar, recorded as literals. The outer is a real
+        // scan sharing a 4-page pool with the inner fetches, so the order
+        // in which outer pages and inner probes interleave shows in the
+        // miss counts too.
+        let text_schema = |names: [&str; 3]| {
+            Schema::new(vec![
+                Column::new(names[0], DataType::Int64),
+                Column::nullable(names[1], DataType::Int64),
+                Column::new(names[2], DataType::Text),
+            ])
+            .unwrap()
+        };
+        let mut l = HeapLoader::new_mem("outer", text_schema(["id", "fk", "note"]));
+        for i in 0..1500i64 {
+            let fk = if i % 11 == 0 { Value::Null } else { Value::Int((i * 37) % 260) };
+            l.push(&Row::new(vec![Value::Int(i), fk, Value::str(format!("outer-{i}"))])).unwrap();
+        }
+        let outer_heap = Arc::new(l.finish().unwrap());
+        // Inner keys 0..200, three rows each, spread across pages.
+        let mut l = HeapLoader::new_mem("inner", text_schema(["pk", "v", "name"]));
+        for i in 0..600i64 {
+            let name = Value::str(format!("inner-{i}-{}", "y".repeat((i % 40) as usize)));
+            l.push(&Row::new(vec![Value::Int((i * 7) % 200), Value::Int(i % 9), name])).unwrap();
+        }
+        let inner_heap = Arc::new(l.finish().unwrap());
+        let index = Arc::new(BTreeIndex::build_from_heap("pk_idx", &inner_heap, 0).unwrap());
+        let run = |residual: Predicate, ty: JoinType| {
+            let st = Storage::new(smooth_storage::StorageConfig {
+                device: smooth_storage::DeviceProfile::custom("t", 1, 10),
+                cpu: smooth_storage::CpuCosts::default(),
+                pool_pages: 4,
+            });
+            let outer =
+                crate::FullTableScan::new(Arc::clone(&outer_heap), st.clone(), Predicate::True);
+            let mut j = IndexNestedLoopJoin::new(
+                Box::new(outer),
+                1,
+                Arc::clone(&inner_heap),
+                Arc::clone(&index),
+                residual,
+                ty,
+                st.clone(),
+            );
+            let mark = smooth_storage::tap_mark();
+            let rows = collect_rows(&mut j).unwrap().len();
+            (rows, st.clock().snapshot(), st.io_snapshot(), mark.delta())
+        };
+        let io = |io_requests, pages_read, seq_pages, rand_pages, buffer_hits| IoSnapshot {
+            io_requests,
+            pages_read,
+            seq_pages,
+            rand_pages,
+            distinct_pages: 13,
+            buffer_hits,
+        };
+        let stats = |io: IoSnapshot| smooth_storage::ScanStatistics {
+            rows_scanned: 1500,
+            rows_processed: 1500,
+            pages_read: io.pages_read,
+            io_requests: io.io_requests,
+            buffer_hits: io.buffer_hits,
+            read_bytes: io.pages_read * smooth_types::PAGE_SIZE as u64,
+            ..Default::default()
+        };
+        let missing = io(4216, 4221, 1038, 3183, 1648);
+        assert_eq!(
+            run(Predicate::int_lt(1, 4), JoinType::Inner),
+            (1393, ClockSnapshot { cpu_ns: 2_156_380, io_ns: 32_868 }, missing, stats(missing))
+        );
+        assert_eq!(
+            run(Predicate::True, JoinType::Inner),
+            (3126, ClockSnapshot { cpu_ns: 2_589_630, io_ns: 32_868 }, missing, stats(missing))
+        );
+        let semi = io(2125, 2130, 453, 1677, 2575);
+        assert_eq!(
+            run(Predicate::int_lt(1, 4), JoinType::LeftSemi),
+            (928, ClockSnapshot { cpu_ns: 1_923_730, io_ns: 17_223 }, semi, stats(semi))
+        );
     }
 
     #[test]

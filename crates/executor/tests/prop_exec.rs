@@ -317,3 +317,98 @@ proptest! {
         assert_protocols_equivalent(&mut mj, max);
     }
 }
+
+/// The inner table of the INLJ oracle test: `(key, v, text)` rows in
+/// insertion (= TID) order, with text long enough that a key's duplicates
+/// spread across several heap pages.
+fn inlj_inner_row(i: usize, (k, v): (i64, i64)) -> Row {
+    Row::new(vec![
+        Value::Int(k),
+        Value::Int(v),
+        Value::str(format!("{i:04}-{}", "t".repeat(i % 90))),
+    ])
+}
+
+/// Naive nested-loop INLJ oracle: outer order, then inner insertion
+/// (TID) order. NULL outer keys match nothing; a semi join emits an outer
+/// row once, on its first residual-qualifying match.
+fn inlj_oracle(
+    outer: &[(i64, Option<i64>)],
+    inner: &[Row],
+    residual: &Predicate,
+    ty: JoinType,
+) -> Vec<Row> {
+    let mut out = Vec::new();
+    for &(id, fk) in outer {
+        let Some(fk) = fk else { continue };
+        let outer_row = Row::new(vec![Value::Int(id), Value::Int(fk)]);
+        let mut matches =
+            inner.iter().filter(|r| r.int(0).unwrap() == fk && residual.eval(r).unwrap());
+        match ty {
+            JoinType::Inner => out.extend(matches.map(|r| outer_row.concat(r))),
+            JoinType::LeftSemi => out.extend(matches.next().map(|_| outer_row.clone())),
+        }
+    }
+    out
+}
+
+proptest! {
+    /// The index nested-loop join's drains — columnar, and interleaved
+    /// with the row protocol — match a naive `Vec` nested-loop oracle
+    /// row for row, in sequence. Its row protocol drains the same
+    /// columnar loop, so this oracle is the independent check.
+    #[test]
+    fn inlj_drains_match_nested_loop_oracle_in_sequence(
+        inner in proptest::collection::vec((0i64..12, -20i64..20), 0..300),
+        outer in proptest::collection::vec(-3i64..15, 0..80),
+        residual_at in -25i64..25,
+        filtered in any::<bool>(),
+        max in 1usize..40,
+    ) {
+        let inner_rows: Vec<Row> =
+            inner.iter().enumerate().map(|(i, &kv)| inlj_inner_row(i, kv)).collect();
+        let inner_schema = Schema::new(vec![
+            Column::new("k", DataType::Int64),
+            Column::new("v", DataType::Int64),
+            Column::new("t", DataType::Text),
+        ])
+        .unwrap();
+        let mut loader = HeapLoader::new_mem("inner", inner_schema);
+        for r in &inner_rows {
+            loader.push(r).unwrap();
+        }
+        let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
+        let index = Arc::new(BTreeIndex::build_from_heap("inner_k", &heap, 0).unwrap());
+        // Negative draws stand for NULL outer keys; keys 12..15 miss.
+        let outer: Vec<(i64, Option<i64>)> =
+            outer.into_iter().enumerate().map(|(i, fk)| (i as i64, (fk >= 0).then_some(fk))).collect();
+        let outer_schema = Schema::new(vec![
+            Column::new("id", DataType::Int64),
+            Column::nullable("fk", DataType::Int64),
+        ])
+        .unwrap();
+        let outer_rows: Vec<Row> = outer
+            .iter()
+            .map(|&(id, fk)| Row::new(vec![Value::Int(id), fk.map_or(Value::Null, Value::Int)]))
+            .collect();
+        // The residual reads `v`, never the join key.
+        let residual =
+            if filtered { Predicate::int_lt(1, residual_at) } else { Predicate::True };
+        for ty in [JoinType::Inner, JoinType::LeftSemi] {
+            let expected = inlj_oracle(&outer, &inner_rows, &residual, ty);
+            let mut inlj = smooth_executor::IndexNestedLoopJoin::new(
+                Box::new(ValuesOp::new(outer_schema.clone(), outer_rows.clone())),
+                1,
+                Arc::clone(&heap),
+                Arc::clone(&index),
+                residual.clone(),
+                ty,
+                storage(),
+            );
+            let columnar = collect_columnar(&mut inlj, max);
+            assert_eq!(columnar, expected, "{ty:?} columnar, max={max}");
+            let interleaved = collect_interleaved(&mut inlj, max);
+            assert_eq!(interleaved, expected, "{ty:?} interleaved, max={max}");
+        }
+    }
+}

@@ -236,13 +236,24 @@ impl BTreeIndex {
         child as usize
     }
 
-    /// All TIDs for an exact key, in TID order (used by index-nested-loop
-    /// joins). Charges the descent and any leaf walks.
+    /// All TIDs for an exact key, in TID order. Charges the descent and
+    /// any leaf walks, exactly as [`BTreeIndex::probe_into`] does.
     pub fn probe(&self, storage: &Storage, key: i64) -> Vec<Tid> {
-        if self.is_empty() {
-            return Vec::new();
-        }
         let mut out = Vec::new();
+        self.probe_into(storage, key, &mut out);
+        out
+    }
+
+    /// Replace the contents of `out` with all TIDs for an exact key, in
+    /// TID order. Index-nested-loop joins probe once per outer row, so
+    /// they keep one `out` per operator instead of allocating a vector
+    /// per probe. Charges the descent and any leaf walks (an empty tree
+    /// charges nothing).
+    pub fn probe_into(&self, storage: &Storage, key: i64, out: &mut Vec<Tid>) {
+        out.clear();
+        if self.is_empty() {
+            return;
+        }
         let mut leaf = self.descend(storage, key);
         let mut pos = self.leaves[leaf].entries.partition_point(|&(k, _)| k < key);
         loop {
@@ -263,7 +274,6 @@ impl BTreeIndex {
             out.push(tid);
             pos += 1;
         }
-        out
     }
 
     /// A `(key, tid)`-ordered cursor over `[lo, hi]` bounds. The descent to
@@ -343,6 +353,19 @@ mod tests {
         let s = storage();
         let tids = idx.probe(&s, 5);
         assert_eq!(tids, vec![Tid::new(2, 1), Tid::new(2, 3), Tid::new(9, 0)]);
+    }
+
+    #[test]
+    fn probe_into_reuses_its_vector_and_charges_like_probe() {
+        let idx = BTreeIndex::build_with_fanout("i", entries(5000), 4);
+        let (a, b) = (storage(), storage());
+        let mut tids = vec![Tid::new(99, 99)];
+        for k in [0i64, 2500, 4999, 7000] {
+            idx.probe_into(&a, k, &mut tids);
+            assert_eq!(tids, idx.probe(&b, k), "key {k}");
+        }
+        assert_eq!(a.clock().snapshot(), b.clock().snapshot());
+        assert_eq!(a.io_snapshot(), b.io_snapshot());
     }
 
     #[test]

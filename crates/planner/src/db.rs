@@ -1193,6 +1193,7 @@ mod tests {
     use smooth_executor::AggFunc;
     use smooth_storage::{CpuCosts, DeviceProfile};
     use smooth_types::{Column, DataType, Value};
+    use std::cmp::Ordering;
 
     fn db(rows: i64) -> Database {
         let mut db = Database::new(StorageConfig {
@@ -1281,23 +1282,41 @@ mod tests {
     fn join_strategies_agree() {
         let db = db(2000);
         let outer = LogicalPlan::scan(ScanSpec::new("t", Predicate::int_half_open(1, 0, 50)));
-        let mk = |strategy| {
-            outer.clone().join(
-                LogicalPlan::scan(ScanSpec::new("t", Predicate::True)),
+        // Every strategy's rows, in one canonical order.
+        let run = |inner: Predicate, ty, strategy| {
+            let plan = outer.clone().join(
+                LogicalPlan::scan(ScanSpec::new("t", inner)),
                 1,
                 1,
-                smooth_executor::JoinType::Inner,
+                ty,
                 strategy,
-            )
+            );
+            let mut rows = db.run(&plan).unwrap().rows;
+            rows.sort_by(|a, b| {
+                let pairs = a.values().iter().zip(b.values());
+                pairs.map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+            });
+            rows
         };
-        let hash = db.run(&mk(JoinStrategy::Hash)).unwrap().rows.len();
-        let inlj = db.run(&mk(JoinStrategy::IndexNestedLoop)).unwrap().rows.len();
-        let merge = db.run(&mk(JoinStrategy::Merge)).unwrap().rows.len();
-        let auto = db.run(&mk(JoinStrategy::Auto)).unwrap().rows.len();
-        assert!(hash > 0);
-        assert_eq!(hash, inlj);
-        assert_eq!(hash, merge);
-        assert_eq!(hash, auto);
+        use smooth_executor::JoinType::{Inner, LeftSemi};
+        // No inner residual, then one over `c0` (not the join key).
+        for inner in [Predicate::True, Predicate::int_lt(0, 1200)] {
+            let hash = run(inner.clone(), Inner, JoinStrategy::Hash);
+            assert!(!hash.is_empty());
+            assert_eq!(hash[0].len(), 6);
+            for strategy in [JoinStrategy::IndexNestedLoop, JoinStrategy::Merge, JoinStrategy::Auto]
+            {
+                assert_eq!(run(inner.clone(), Inner, strategy), hash, "{strategy:?} {inner:?}");
+            }
+        }
+        // Semi join (merge join is inner-only).
+        let semi = Predicate::int_lt(0, 1200);
+        let hash = run(semi.clone(), LeftSemi, JoinStrategy::Hash);
+        assert!(!hash.is_empty());
+        assert_eq!(hash[0].len(), 3);
+        for strategy in [JoinStrategy::IndexNestedLoop, JoinStrategy::Auto] {
+            assert_eq!(run(semi.clone(), LeftSemi, strategy), hash, "{strategy:?}");
+        }
     }
 
     #[test]
